@@ -1,8 +1,9 @@
 //! Criterion benches over the analysis hot paths: baseline estimation,
 //! conditional window counting at each scope, pairwise summaries, GLM
-//! fits and CSV serialization.
+//! fits, CSV serialization, checkpoint replay and the per-user table.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use hpcfail_core::checkpoint::{CheckpointPolicy, CheckpointSimulator};
 use hpcfail_core::correlation::Scope;
 use hpcfail_core::engine::Engine;
 use hpcfail_core::predict::AlarmRule;
@@ -13,6 +14,7 @@ use hpcfail_store::query::{covered_window_starts, BaselineEstimator};
 use hpcfail_store::trace::Trace;
 use hpcfail_synth::spec::FleetSpec;
 use hpcfail_types::prelude::*;
+use std::cell::RefCell;
 
 fn bench_fleet() -> Trace {
     FleetSpec::lanl_scaled(0.2).generate(42).into_store()
@@ -161,9 +163,69 @@ fn bench_csv(c: &mut Criterion) {
     });
 }
 
+fn bench_checkpoint(c: &mut Criterion) {
+    let trace = bench_fleet();
+    let sim = CheckpointSimulator::typical();
+    c.bench_function("checkpoint_replay_uniform_1h", |b| {
+        let policy = CheckpointPolicy::Uniform {
+            interval_hours: 1.0,
+        };
+        b.iter(|| sim.replay_group(&trace, SystemGroup::Group2, policy))
+    });
+    c.bench_function("checkpoint_replay_adaptive_month", |b| {
+        let policy = CheckpointPolicy::Adaptive {
+            base_hours: 12.0,
+            flagged_hours: 0.5,
+            rule: AlarmRule {
+                trigger: FailureClass::Any,
+                window: Window::Month,
+            },
+        };
+        b.iter(|| sim.replay_group(&trace, SystemGroup::Group2, policy))
+    });
+}
+
+fn bench_users(c: &mut Criterion) {
+    let trace = bench_fleet();
+    let system = SystemId::new(8);
+    assert!(
+        !trace
+            .system(system)
+            .expect("system 8 exists")
+            .jobs()
+            .is_empty(),
+        "system 8 carries the job log"
+    );
+    // A trace clone starts with a cold index, so every iteration
+    // rebuilds the per-user table. Used engines are parked and dropped
+    // by the next setup, outside the timed region.
+    let spent = RefCell::new(Vec::new());
+    c.bench_function("heaviest_users_cold", |b| {
+        b.iter_batched(
+            || {
+                spent.borrow_mut().clear();
+                Engine::new(trace.clone())
+            },
+            |engine| {
+                let top = engine.users().heaviest_users(system, 50);
+                spent.borrow_mut().push(engine);
+                top
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    spent.borrow_mut().clear();
+    let engine = Engine::new(trace);
+    engine.users().heaviest_users(system, 50);
+    c.bench_function("heaviest_users_warm", |b| {
+        b.iter(|| engine.users().heaviest_users(system, 50))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_baseline, bench_conditionals, bench_window_kernel, bench_glm, bench_csv
+    targets = bench_baseline, bench_conditionals, bench_window_kernel, bench_glm, bench_csv,
+        bench_checkpoint, bench_users
 }
 criterion_main!(benches);

@@ -8,8 +8,35 @@
 //! policies are provided — a uniform interval (the classic Daly/Young
 //! regime) and an *adaptive* one that checkpoints more often while a
 //! node is inside the paper's high-risk window after a failure.
+//!
+//! # Replay cost
+//!
+//! Each node is replayed as one forward walk over its time-sorted
+//! failure hours; the policy only decides the spacing at each step, and
+//! the uniform walk is monomorphized with a constant spacing.
+//!
+//! The adaptive policy flags a node at time `t` when some *trigger hour*
+//! `fh` — a failure hour with a trigger-matching failure of the node
+//! within 1e-9 h of it — satisfies `fh < t <= fh + window`. The trigger
+//! hours are computed once per node; since they are sorted, the node is
+//! flagged iff the latest trigger before `t` satisfies
+//! `t <= trigger + window`. A pointer into the trigger hours tracks that
+//! latest trigger as `t` advances, so a node costs
+//! `O(steps + failures)` instead of `O(steps × failures)`.
+//!
+//! The pointer only moves forward because `t` is monotone: a checkpoint
+//! step adds `interval + checkpoint_cost`, and a failure sets `t` to
+//! `fail_at + restart_cost`, where failures are consumed in time order
+//! and a failure is only taken once it falls before the next checkpoint.
+//! Under the cost models in use (restart at least as long as a
+//! checkpoint write, failures inside the observation span) a failure
+//! never moves `t` back. For other cost models — a restart shorter than
+//! a checkpoint write, or failures stamped before the observation start
+//! — `t` can step back, and the pointer steps back with it, so the
+//! flag is the same at every step either way.
 
 use crate::predict::AlarmRule;
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 
@@ -146,46 +173,61 @@ impl CheckpointSimulator {
         span_hours: f64,
         policy: CheckpointPolicy,
     ) -> CheckpointOutcome {
-        let start = system.config().start;
-        let failure_hours: Vec<f64> = system
-            .node_failures(node)
-            .map(|f| (f.time - start).as_seconds() as f64 / 3600.0)
-            .collect();
-
-        // Interval in effect at time t (hours since start).
-        let interval_at = |t: f64| -> f64 {
-            match policy {
-                CheckpointPolicy::Uniform { interval_hours } => interval_hours,
-                CheckpointPolicy::Adaptive {
-                    base_hours,
-                    flagged_hours,
-                    rule,
-                } => {
-                    let window_h = rule.window.duration().as_seconds() as f64 / 3600.0;
-                    let flagged = failure_hours.iter().any(|&fh| {
-                        fh < t && t <= fh + window_h && {
-                            // The rule's class must match the triggering
-                            // failure; re-check against the records.
-                            system.node_failures(node).any(|f| {
-                                rule.trigger.matches(f)
-                                    && ((f.time - start).as_seconds() as f64 / 3600.0 - fh).abs()
-                                        < 1e-9
-                            })
-                        }
-                    });
-                    if flagged {
+        let columns = system.failure_columns();
+        let start = system.config().start.as_seconds();
+        let postings = columns.node_postings(node);
+        let hours = |i: u32| (columns.times()[i as usize] - start) as f64 / 3600.0;
+        let failure_hours: Vec<f64> = postings.iter().map(|&i| hours(i)).collect();
+        match policy {
+            CheckpointPolicy::Uniform { interval_hours } => {
+                self.walk(&failure_hours, span_hours, |_| interval_hours)
+            }
+            CheckpointPolicy::Adaptive {
+                base_hours,
+                flagged_hours,
+                rule,
+            } => {
+                let window_h = rule.window.duration().as_seconds() as f64 / 3600.0;
+                let code = ClassCode::new(rule.trigger);
+                let matching: Vec<f64> = postings
+                    .iter()
+                    .filter(|&&i| {
+                        code.matches(columns.roots()[i as usize], columns.subs()[i as usize])
+                    })
+                    .map(|&i| hours(i))
+                    .collect();
+                let triggers = trigger_hours(&failure_hours, &matching);
+                // `triggers[..passed]` are exactly the triggers before `t`.
+                let mut passed = 0;
+                self.walk(&failure_hours, span_hours, |t| {
+                    while passed < triggers.len() && triggers[passed] < t {
+                        passed += 1;
+                    }
+                    while passed > 0 && triggers[passed - 1] >= t {
+                        passed -= 1;
+                    }
+                    if passed > 0 && t <= triggers[passed - 1] + window_h {
                         flagged_hours
                     } else {
                         base_hours
                     }
-                }
+                })
             }
-        };
+        }
+    }
 
+    /// Walks time forward checkpoint by checkpoint over one node's
+    /// sorted failure hours, asking `interval_at(t)` for the spacing in
+    /// effect at each step. On failure, the work since the last
+    /// checkpoint is lost and the restart cost paid.
+    fn walk(
+        &self,
+        failure_hours: &[f64],
+        span_hours: f64,
+        mut interval_at: impl FnMut(f64) -> f64,
+    ) -> CheckpointOutcome {
         let mut outcome = CheckpointOutcome::zero();
         outcome.total_hours = span_hours;
-        // Walk time forward checkpoint by checkpoint; on failure, lose
-        // the work since the last checkpoint plus the restart cost.
         let mut t = 0.0;
         let mut last_checkpoint = 0.0;
         let mut failure_iter = failure_hours.iter().copied().peekable();
@@ -214,6 +256,25 @@ impl CheckpointSimulator {
         }
         outcome
     }
+}
+
+/// The failure hours that open an alarm window: every `fh` in
+/// `failure_hours` with some trigger-matching failure of the same node
+/// within 1e-9 h of it. Both inputs are sorted, so one forward pointer
+/// into `matching` finds the nearest match below and above each `fh`.
+fn trigger_hours(failure_hours: &[f64], matching: &[f64]) -> Vec<f64> {
+    let mut j = 0;
+    failure_hours
+        .iter()
+        .copied()
+        .filter(|&fh| {
+            while j < matching.len() && matching[j] < fh {
+                j += 1;
+            }
+            let near = |m: f64| (m - fh).abs() < 1e-9;
+            matching.get(j).is_some_and(|&m| near(m)) || (j > 0 && near(matching[j - 1]))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,7 +2,9 @@
 //!
 //! When several clients ask the same (uncached) question at once, only
 //! the first — the *leader* — computes it; the rest — *followers* —
-//! block on the leader's flight and share its serialized result. A
+//! block on the leader's flight and share its outcome: the serialized
+//! result, or the leader's failure message when its query panicked, so
+//! followers of a failed leader answer the same typed error at once. A
 //! follower whose deadline expires before the leader finishes gives up
 //! and is answered with a degraded 504 instead of holding a worker.
 
@@ -11,9 +13,13 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+/// What a leader hands its followers: the serialized body, or the
+/// sanitized message of the failure that ended its query.
+pub type Outcome = Result<Arc<String>, String>;
+
 /// One in-flight computation, shared between leader and followers.
 pub struct Flight {
-    slot: Mutex<Option<Arc<String>>>,
+    slot: Mutex<Option<Outcome>>,
     done: Condvar,
 }
 
@@ -25,12 +31,13 @@ impl Flight {
         }
     }
 
-    /// Blocks until the leader publishes, or until `deadline` passes.
-    pub fn wait(&self, deadline: Instant) -> Option<Arc<String>> {
+    /// Blocks until the leader publishes its outcome, or until
+    /// `deadline` passes (`None`).
+    pub fn wait(&self, deadline: Instant) -> Option<Outcome> {
         let mut slot = self.slot.lock().expect("flight lock");
         loop {
-            if let Some(body) = slot.as_ref() {
-                return Some(Arc::clone(body));
+            if let Some(outcome) = slot.as_ref() {
+                return Some(outcome.clone());
             }
             let now = Instant::now();
             if now >= deadline {
@@ -47,8 +54,8 @@ impl Flight {
         }
     }
 
-    fn publish(&self, body: Arc<String>) {
-        *self.slot.lock().expect("flight lock") = Some(body);
+    fn publish(&self, outcome: Outcome) {
+        *self.slot.lock().expect("flight lock") = Some(outcome);
         self.done.notify_all();
     }
 }
@@ -71,8 +78,8 @@ pub struct Coalescer {
 /// Leadership of one flight. The holder must finish with
 /// [`Coalescer::complete`] (normal path) or [`Coalescer::abandon`]
 /// (the query failed); the server wraps leader work in `catch_unwind`
-/// so a panicking query still abandons its flight and later identical
-/// queries elect a fresh leader.
+/// so a panicking query still abandons its flight, its followers get
+/// the failure, and later identical queries elect a fresh leader.
 pub struct LeaderGuard {
     key: CacheKey,
     flight: Arc<Flight>,
@@ -105,16 +112,18 @@ impl Coalescer {
             .lock()
             .expect("coalescer lock")
             .remove(&guard.key);
-        guard.flight.publish(body);
+        guard.flight.publish(Ok(body));
     }
 
-    /// Retires a flight whose leader failed, without publishing.
-    /// Followers run out their deadlines.
-    pub fn abandon(&self, guard: LeaderGuard) {
+    /// Retires a flight whose leader failed, handing `message` to every
+    /// follower so they answer the leader's error instead of waiting out
+    /// their deadlines.
+    pub fn abandon(&self, guard: LeaderGuard, message: String) {
         self.inflight
             .lock()
             .expect("coalescer lock")
             .remove(&guard.key);
+        guard.flight.publish(Err(message));
     }
 
     /// Flights currently in the air.
@@ -147,7 +156,7 @@ mod tests {
         c.complete(leader, Arc::new("body".to_owned()));
         assert_eq!(c.in_flight(), 0);
         let got = follower.wait(Instant::now() + Duration::from_secs(1));
-        assert_eq!(got.as_deref().map(String::as_str), Some("body"));
+        assert_eq!(got, Some(Ok(Arc::new("body".to_owned()))));
         // The key is free again.
         assert!(matches!(c.claim(&key()), Claim::Leader(_)));
     }
@@ -175,9 +184,28 @@ mod tests {
             Claim::Leader(g) => g,
             Claim::Follower(_) => panic!("first claim must lead"),
         };
-        c.abandon(leader);
+        c.abandon(leader, "boom".to_owned());
         assert_eq!(c.in_flight(), 0);
         assert!(matches!(c.claim(&key()), Claim::Leader(_)));
+    }
+
+    #[test]
+    fn abandon_hands_the_failure_to_followers_at_once() {
+        let c = Coalescer::new();
+        let leader = match c.claim(&key()) {
+            Claim::Leader(g) => g,
+            Claim::Follower(_) => panic!("first claim must lead"),
+        };
+        let follower = match c.claim(&key()) {
+            Claim::Follower(f) => f,
+            Claim::Leader(_) => panic!("second claim must follow"),
+        };
+        c.abandon(leader, "boom".to_owned());
+        // The follower sees the failure, not a timeout.
+        let started = Instant::now();
+        let got = follower.wait(started + Duration::from_secs(30));
+        assert_eq!(got, Some(Err("boom".to_owned())));
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
@@ -200,7 +228,7 @@ mod tests {
         c.complete(leader, Arc::new("shared".to_owned()));
         for join in joins {
             let got = join.join().expect("follower thread");
-            assert_eq!(got.as_deref().map(String::as_str), Some("shared"));
+            assert_eq!(got, Some(Ok(Arc::new("shared".to_owned()))));
         }
     }
 }

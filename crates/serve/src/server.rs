@@ -73,7 +73,7 @@ use hpcfail_store::snapshot::{decode_snapshot, SNAPSHOT_MAGIC};
 use hpcfail_store::trace::Trace;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -110,9 +110,12 @@ pub struct ServerConfig {
     /// Fault injection: a seeded chaos spec (`--chaos spec.json`)
     /// deciding which arrivals fault at which points.
     pub chaos: Option<ChaosConfig>,
-    /// Fault injection: panic inside the handler for this analysis
-    /// kind, to exercise the catch-unwind → 500 path (the engine
-    /// itself never panics on well-formed requests).
+    /// Fault injection: panic in the handler for `/query` requests of
+    /// this analysis kind, to exercise the catch-unwind → 500 path (the
+    /// engine itself never panics on well-formed requests). The panic
+    /// is raised at the end of the leader's engine run, so identical
+    /// queries coalesced onto it see the failure hand-off, and then
+    /// unwinds through the handler.
     pub inject_panic_kind: Option<String>,
 }
 
@@ -870,9 +873,7 @@ fn handle_query(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
         }
     };
     let kind = parsed.kind();
-    if shared.inject_panic_kind.as_deref() == Some(kind) {
-        panic!("injected panic for analysis kind {kind}");
-    }
+    let inject_panic = shared.inject_panic_kind.as_deref() == Some(kind);
     // Resolving pins this request to the name's current epoch: the
     // engine Arc stays alive through the whole answer even if an
     // upload swaps or an eviction demotes the slot mid-flight.
@@ -910,7 +911,14 @@ fn handle_query(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
     if let Some(reply) = chaos_engine_point(shared, kind) {
         return reply;
     }
-    match answer(&parsed, trace_name, &resolved, shared, deadline) {
+    match answer(
+        &parsed,
+        trace_name,
+        &resolved,
+        shared,
+        deadline,
+        inject_panic,
+    ) {
         Answer::Fresh(body) => {
             hpcfail_obs::counter("serve.cache.miss").inc();
             let mut reply = Reply::ok((*body).clone(), kind);
@@ -1024,7 +1032,7 @@ fn handle_batch(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
     }
     let mut bodies = Vec::with_capacity(parsed.len());
     for item in &parsed {
-        match answer(item, trace_name, &resolved, shared, deadline) {
+        match answer(item, trace_name, &resolved, shared, deadline, false) {
             Answer::Fresh(body) => {
                 hpcfail_obs::counter("serve.cache.miss").inc();
                 bodies.push(Json::Str((*body).clone()));
@@ -1069,16 +1077,22 @@ enum Answer {
     Coalesced(Arc<String>),
     /// Deadline expired while waiting on the in-flight leader.
     Degraded,
-    /// The query panicked; the message is sanitized.
+    /// The query panicked, here or in the leader this request followed;
+    /// the message is sanitized.
     Failed(String),
 }
 
+/// Answers one analysis from the cache, a fresh leader run, or an
+/// identical in-flight leader. With `inject_panic`, a leader panics
+/// after its engine run and, once its followers have the failure,
+/// re-raises the panic into the handler's own `catch_unwind`.
 fn answer(
     request: &AnalysisRequest,
     trace_name: &str,
     resolved: &ResolvedTrace,
     shared: &Shared,
     deadline: Instant,
+    inject_panic: bool,
 ) -> Answer {
     // The key carries the *epoch fingerprint*, not just the name: a
     // re-uploaded trace with different data can never serve a
@@ -1098,7 +1112,11 @@ fn answer(
             let span = hpcfail_obs::span(&span_name);
             span.attr("kind", request.kind());
             let computed = catch_unwind(AssertUnwindSafe(|| {
-                Arc::new(resolved.engine.run(request).to_json().pretty())
+                let body = resolved.engine.run(request).to_json().pretty();
+                if inject_panic {
+                    panic!("injected panic for analysis kind {}", request.kind());
+                }
+                Arc::new(body)
             }));
             let _ = span;
             match computed {
@@ -1107,17 +1125,19 @@ fn answer(
                     shared.coalescer.complete(guard, Arc::clone(&body));
                     Answer::Fresh(body)
                 }
-                Err(_) => {
-                    shared.coalescer.abandon(guard);
-                    Answer::Failed(format!(
-                        "analysis {} panicked; see server logs",
-                        request.kind()
-                    ))
+                Err(payload) => {
+                    let message = format!("analysis {} panicked; see server logs", request.kind());
+                    shared.coalescer.abandon(guard, message.clone());
+                    if inject_panic {
+                        resume_unwind(payload);
+                    }
+                    Answer::Failed(message)
                 }
             }
         }
         Claim::Follower(flight) => match flight.wait(deadline) {
-            Some(body) => Answer::Coalesced(body),
+            Some(Ok(body)) => Answer::Coalesced(body),
+            Some(Err(message)) => Answer::Failed(message),
             None => Answer::Degraded,
         },
     }

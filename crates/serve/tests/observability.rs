@@ -241,9 +241,13 @@ fn access_log_writes_exactly_one_line_per_request() {
     let client = Client::new(handle.addr().to_string());
 
     let mut expected_lines = 0;
-    // A normal query.
+    // A normal query, of a kind no other test here drives (the
+    // metrics test counts `env-breakdown` requests by delta).
+    let request = AnalysisRequest::NodeFailureCounts {
+        system: hpcfail_types::prelude::SystemId::new(2),
+    };
     let ok = client
-        .post("/query", &AnalysisRequest::EnvBreakdown.canonical(), &[])
+        .post("/query", &request.canonical(), &[])
         .expect("query");
     assert_eq!(ok.status, 200);
     expected_lines += 1;
@@ -311,7 +315,7 @@ fn access_log_writes_exactly_one_line_per_request() {
         );
         statuses.push(entry.get("status").and_then(Json::as_u64).unwrap_or(0));
     }
-    assert!(kinds.contains(&"env-breakdown".to_owned()));
+    assert!(kinds.contains(&"node-failure-counts".to_owned()));
     assert_eq!(
         kinds.iter().filter(|k| *k == "http-error").count(),
         2,

@@ -383,3 +383,83 @@ fn shutdown_waits_for_in_progress_upload_and_sheds_late_ones() {
     assert_eq!(handle.admission().inflight(), 0, "no permit leaked");
     handle.shutdown(); // joins all workers; must not hang
 }
+
+/// Followers coalesced onto a leader whose analysis panics must get a
+/// typed 500 at once, not wait out their deadlines for a 504. Each
+/// round releases identical cold queries together. The injected panic
+/// unwinds the leader through the handler ("handler panicked"); its
+/// followers answer the failure the leader handed them ("analysis …
+/// panicked"), so a body of the second sort proves a follower was there.
+#[test]
+fn followers_of_a_panicking_leader_answer_500_at_once() {
+    use hpcfail_core::engine::AnalysisRequest;
+    use hpcfail_core::regression_study::StudyFamily;
+    use hpcfail_types::prelude::SystemId;
+    use std::sync::{Arc, Barrier};
+
+    const CLIENTS: usize = 8;
+    const ROUNDS: usize = 10;
+    const DEADLINE_MS: u64 = 10_000;
+    let request = AnalysisRequest::RegressionStudy {
+        system: SystemId::new(20),
+        family: StudyFamily::NegativeBinomial,
+        exclude_node0: false,
+    };
+    let handle = spawn(
+        engine(),
+        ServerConfig {
+            workers: CLIENTS * 2,
+            inject_panic_kind: Some(request.kind().to_owned()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = handle.addr().to_string();
+    let body = request.canonical();
+
+    let (mut leaders, mut followers) = (0, 0);
+    for _ in 0..ROUNDS {
+        let barrier = Arc::new(Barrier::new(CLIENTS));
+        let joins: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let (addr, body, barrier) = (addr.clone(), body.clone(), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    let client = Client::new(addr);
+                    barrier.wait();
+                    let started = Instant::now();
+                    let deadline = DEADLINE_MS.to_string();
+                    let response = client
+                        .post("/query", &body, &[("x-deadline-ms", &deadline)])
+                        .expect("round trip");
+                    (response, started.elapsed())
+                })
+            })
+            .collect();
+        for join in joins {
+            let (response, elapsed) = join.join().expect("client thread");
+            assert_eq!(response.status, 500, "body: {}", response.body);
+            assert!(response.header("x-degraded").is_none());
+            assert!(
+                elapsed < Duration::from_millis(DEADLINE_MS / 5),
+                "answered after {elapsed:?}, deadline {DEADLINE_MS} ms"
+            );
+            if response.body.contains("handler panicked") {
+                leaders += 1;
+            } else {
+                assert!(
+                    response.body.contains("analysis regression-study panicked"),
+                    "the leader's typed error: {}",
+                    response.body
+                );
+                followers += 1;
+            }
+        }
+    }
+    assert!(leaders >= ROUNDS, "every round had a leader");
+    assert!(
+        followers > 0,
+        "no round coalesced; the test exercised no follower"
+    );
+    assert_eq!(handle.inflight(), 0);
+    handle.shutdown();
+}

@@ -1,8 +1,10 @@
-//! Derived per-node features: usage, temperature aggregates, and the
-//! Table I feature rows feeding the paper's regressions.
+//! Derived features: per-node usage and temperature aggregates, the
+//! per-user table of Section VI, and the Table I feature rows feeding
+//! the paper's regressions.
 
 use crate::trace::SystemTrace;
 use hpcfail_types::prelude::*;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Why a per-node feature could not be produced.
@@ -81,6 +83,76 @@ pub fn compute_usage(system: &SystemTrace) -> Vec<NodeUsage> {
             }
         })
         .collect()
+}
+
+/// Per-user usage and failure exposure (Section VI).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UserStat {
+    /// The user.
+    pub user: UserId,
+    /// Processor-days consumed across all their jobs.
+    pub processor_days: f64,
+    /// Jobs submitted.
+    pub jobs: u64,
+    /// Jobs hit by a node failure while running.
+    pub node_failures: u64,
+}
+
+impl UserStat {
+    /// Failures per processor-day — the Figure 8 y-axis.
+    pub fn failures_per_processor_day(&self) -> f64 {
+        if self.processor_days <= 0.0 {
+            0.0
+        } else {
+            self.node_failures as f64 / self.processor_days
+        }
+    }
+}
+
+/// Computes [`UserStat`] for every user of a system's job log, in
+/// ascending user order (empty without a job log).
+///
+/// A user "experiences" a node failure when one of their running jobs
+/// sits on a node that fails; a job counts once per failure of each of
+/// its nodes inside its run (dispatch inclusive, end exclusive). One
+/// pass over the job log finds those failures by binary search in each
+/// node's time-ordered failure postings.
+pub fn compute_user_stats(system: &SystemTrace) -> Vec<UserStat> {
+    let nodes = system.config().nodes as usize;
+    let columns = system.failure_columns();
+    let times = columns.times();
+    let mut slots: HashMap<UserId, usize> = HashMap::new();
+    let mut stats: Vec<UserStat> = Vec::new();
+    for job in system.jobs() {
+        let slot = *slots.entry(job.user).or_insert_with(|| {
+            stats.push(UserStat {
+                user: job.user,
+                processor_days: 0.0,
+                jobs: 0,
+                node_failures: 0,
+            });
+            stats.len() - 1
+        });
+        let (dispatch, end) = (job.dispatch.as_seconds(), job.end.as_seconds());
+        let mut hits = 0;
+        for &node in &job.nodes {
+            if node.index() >= nodes {
+                continue;
+            }
+            let postings = columns.node_postings(node);
+            let first = postings.partition_point(|&i| times[i as usize] < dispatch);
+            hits += postings[first..]
+                .iter()
+                .take_while(|&&i| times[i as usize] < end)
+                .count() as u64;
+        }
+        let entry = &mut stats[slot];
+        entry.processor_days += job.processor_days();
+        entry.jobs += 1;
+        entry.node_failures += hits;
+    }
+    stats.sort_unstable_by_key(|s| s.user);
+    stats
 }
 
 /// Total length of the union of half-open intervals. Sorts in place.

@@ -14,9 +14,10 @@
 //!   are allocation-free;
 //! - **baselines** — pooled [`WindowCounts`] per `(FailureClass,
 //!   Window)` (and per `Window` for maintenance);
-//! - **features** — whole-system usage and temperature aggregates
-//!   (one slot each), whose builders scan the job log and temperature
-//!   samples — by far the largest record streams in the trace.
+//! - **features** — whole-system usage, per-user and temperature
+//!   aggregates (one slot each), whose builders scan the job log and
+//!   temperature samples — by far the largest record streams in the
+//!   trace.
 //!
 //! # Keying and laziness
 //!
@@ -47,12 +48,15 @@
 //! - `store.index.baseline.hits` / `store.index.baseline.misses` —
 //!   baseline cache outcomes;
 //! - `store.index.features.hits` / `store.index.features.misses` —
-//!   usage/temperature feature cache outcomes;
+//!   usage/user/temperature feature cache outcomes;
 //! - `store.index.build_ns` — histogram of time spent building entries;
 //! - `store.index.build_baseline` / `store.index.build_features` —
 //!   spans around the expensive whole-system builds.
 
-use crate::features::{compute_temperature, compute_usage, NodeUsage, TemperatureAggregate};
+use crate::features::{
+    compute_temperature, compute_usage, compute_user_stats, NodeUsage, TemperatureAggregate,
+    UserStat,
+};
 use crate::query::{covered_window_starts, windows_per_node, NodeEvents, WindowCounts};
 use crate::trace::SystemTrace;
 use hpcfail_types::prelude::*;
@@ -77,6 +81,7 @@ pub struct TimelineIndex {
     failure_baselines: RwLock<HashMap<(FailureClass, Window), WindowCounts>>,
     maintenance_baselines: RwLock<HashMap<Window, WindowCounts>>,
     usage: RwLock<Option<Arc<Vec<NodeUsage>>>>,
+    users: RwLock<Option<Arc<Vec<UserStat>>>>,
     temperature: RwLock<Option<Arc<Vec<Option<TemperatureAggregate>>>>>,
 }
 
@@ -260,6 +265,22 @@ impl SystemTrace {
             || {
                 let _span = hpcfail_obs::span("store.index.build_features");
                 Arc::new(compute_usage(self))
+            },
+        )
+    }
+
+    /// Per-user usage and failure exposure in ascending user order,
+    /// computed once per trace — the memoized equivalent of
+    /// [`compute_user_stats`], which every `heaviest-users` request
+    /// previously rebuilt from the whole job log.
+    pub fn indexed_user_stats(&self) -> Arc<Vec<UserStat>> {
+        get_or_build_single(
+            &self.index.users,
+            "store.index.features.hits",
+            "store.index.features.misses",
+            || {
+                let _span = hpcfail_obs::span("store.index.build_features");
+                Arc::new(compute_user_stats(self))
             },
         )
     }
