@@ -13,6 +13,7 @@ use hpcfail_report::chart::ScatterPlot;
 use hpcfail_report::figures::{render_conditional_table, render_glm_table};
 use hpcfail_report::fmt::{factor, p_value, pct, stars};
 use hpcfail_report::table::Table;
+use hpcfail_store::columns::ClassCode;
 use hpcfail_types::prelude::*;
 
 /// Systems the paper singles out.
@@ -864,15 +865,13 @@ pub(crate) fn ablation(ctx: &ReproContext) -> String {
         let avg = counts.iter().sum::<u64>() as f64 / counts.len().max(1) as f64;
         let node0_ratio = counts.first().map_or(0.0, |&c| c as f64 / avg.max(1e-9));
         let env_share = {
+            let env_code = ClassCode::new(FailureClass::Root(RootCause::Environment));
             let mut env = 0u64;
             let mut total = 0u64;
             for s in engine.trace().systems() {
-                for f in s.failures() {
-                    total += 1;
-                    if f.root_cause == RootCause::Environment {
-                        env += 1;
-                    }
-                }
+                let cols = s.failure_columns();
+                total += cols.len() as u64;
+                env += cols.rows_matching(env_code).count() as u64;
             }
             env as f64 / total.max(1) as f64
         };
@@ -1190,23 +1189,17 @@ pub(crate) fn validate(ctx: &ReproContext) -> String {
     });
 
     // Hardware share ~60%, CPU 40% / memory 20% of hardware.
-    let mut total = 0f64;
-    let mut hw = 0f64;
-    let mut cpu = 0f64;
-    let mut mem = 0f64;
-    for s in ctx.trace().systems() {
-        for f in s.failures() {
-            total += 1.0;
-            if f.root_cause == RootCause::Hardware {
-                hw += 1.0;
-                match f.sub_cause {
-                    SubCause::Hardware(HardwareComponent::Cpu) => cpu += 1.0,
-                    SubCause::Hardware(HardwareComponent::MemoryDimm) => mem += 1.0,
-                    _ => {}
-                }
-            }
-        }
-    }
+    let count = |class: FailureClass| -> f64 {
+        let code = ClassCode::new(class);
+        ctx.trace()
+            .systems()
+            .map(|s| s.failure_columns().rows_matching(code).count())
+            .sum::<usize>() as f64
+    };
+    let total = ctx.trace().total_failures() as f64;
+    let hw = count(FailureClass::Root(RootCause::Hardware));
+    let cpu = count(FailureClass::Hw(HardwareComponent::Cpu));
+    let mem = count(FailureClass::Hw(HardwareComponent::MemoryDimm));
     checks.push(Check {
         name: "hardware share of failures (paper 60%)",
         value: hw / total.max(1.0),

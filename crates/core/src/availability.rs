@@ -5,6 +5,7 @@
 //! mean time between failures, mean time to repair, availability, and
 //! which root causes cost the most downtime.
 
+use hpcfail_store::columns::NO_DOWNTIME;
 use hpcfail_store::trace::Trace;
 use hpcfail_types::prelude::*;
 use std::collections::BTreeMap;
@@ -56,12 +57,6 @@ pub struct AvailabilityAnalysis<'a> {
 }
 
 impl<'a> AvailabilityAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::availability` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        AvailabilityAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::availability`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -78,16 +73,17 @@ impl<'a> AvailabilityAnalysis<'a> {
         if node_hours <= 0.0 {
             return None;
         }
-        let failures = s.failures().len() as u64;
+        let cols = s.failure_columns();
+        let failures = cols.len() as u64;
         let mut with_downtime = 0u64;
         let mut downtime_hours = 0.0;
         let mut by_root: BTreeMap<RootCause, f64> = BTreeMap::new();
-        for f in s.failures() {
-            if let Some(d) = f.downtime {
+        for (i, &seconds) in cols.downtimes().iter().enumerate() {
+            if seconds != NO_DOWNTIME {
                 with_downtime += 1;
-                let h = d.as_seconds().max(0) as f64 / 3600.0;
+                let h = seconds.max(0) as f64 / 3600.0;
                 downtime_hours += h;
-                *by_root.entry(f.root_cause).or_insert(0.0) += h;
+                *by_root.entry(cols.root(i)).or_insert(0.0) += h;
             }
         }
         Some(AvailabilityReport {

@@ -7,6 +7,7 @@
 //! system — and compares it against the probability in a random window.
 
 use crate::estimate::ConditionalEstimate;
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::query::WindowCounts;
 use hpcfail_store::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
@@ -123,12 +124,6 @@ pub struct CorrelationAnalysis<'a> {
 }
 
 impl<'a> CorrelationAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::correlation` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        CorrelationAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::correlation`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -257,6 +252,8 @@ fn conditional_for_system(
     // fig1a alone asks for the identical (Any, Week) baseline 8 times
     // per system, and the sweep experiments multiply that further.
     let baseline = system.indexed_failure_baseline(target, window);
+    let cols = system.failure_columns();
+    let trigger_code = ClassCode::new(trigger);
     let mut cond = WindowCounts::default();
     let duration = window.duration();
 
@@ -272,22 +269,21 @@ fn conditional_for_system(
     // count in O(failures) total; counts (and therefore output bytes)
     // are identical to the per-node probes.
     if scope == Scope::SameSystem {
-        let targets: Vec<(Timestamp, u32)> = system
-            .failures()
-            .iter()
-            .filter(|f| target.matches(f))
-            .map(|f| (f.time, f.node.raw()))
+        let targets: Vec<(Timestamp, u32)> = cols
+            .rows_matching(ClassCode::new(target))
+            .map(|i| (cols.time(i), cols.nodes()[i]))
             .collect();
         let nodes = system.config().nodes as u64;
         let mut per_node = vec![0u32; system.config().nodes as usize];
         let mut distinct = 0u64;
         let (mut lo, mut hi) = (0usize, 0usize);
-        for f in system.failures() {
-            if !trigger.matches(f) || !system.window_observed(f.time, window) {
+        for i in cols.rows_matching(trigger_code) {
+            let time = cols.time(i);
+            if !system.window_observed(time, window) {
                 continue;
             }
-            let until = f.time + duration;
-            // Grow the window to (f.time, until], shrink from the left.
+            let until = time + duration;
+            // Grow the window to (time, until], shrink from the left.
             while hi < targets.len() && targets[hi].0 <= until {
                 let n = targets[hi].1 as usize;
                 per_node[n] += 1;
@@ -296,7 +292,7 @@ fn conditional_for_system(
                 }
                 hi += 1;
             }
-            while lo < hi && targets[lo].0 <= f.time {
+            while lo < hi && targets[lo].0 <= time {
                 let n = targets[lo].1 as usize;
                 per_node[n] -= 1;
                 if per_node[n] == 0 {
@@ -305,29 +301,30 @@ fn conditional_for_system(
                 lo += 1;
             }
             cond.total += nodes - 1;
-            let own = u64::from(per_node[f.node.index()] > 0);
+            let own = u64::from(per_node[cols.node(i).index()] > 0);
             cond.hits += distinct - own;
         }
         return ConditionalEstimate::from_counts(cond, baseline);
     }
 
-    for f in system.failures() {
-        if !trigger.matches(f) || !system.window_observed(f.time, window) {
+    for i in cols.rows_matching(trigger_code) {
+        let (time, node) = (cols.time(i), cols.node(i));
+        if !system.window_observed(time, window) {
             continue;
         }
-        let until = f.time + duration;
+        let until = time + duration;
         match scope {
             Scope::SameNode => {
                 cond.total += 1;
-                if system.node_has_failure_in(f.node, target, f.time, until) {
+                if system.node_has_failure_in(node, target, time, until) {
                     cond.hits += 1;
                 }
             }
             Scope::SameRack => {
                 let Some(layout) = layout else { continue };
-                for peer in layout.rack_neighbors(f.node) {
+                for peer in layout.rack_neighbors(node) {
                     cond.total += 1;
-                    if system.node_has_failure_in(peer, target, f.time, until) {
+                    if system.node_has_failure_in(peer, target, time, until) {
                         cond.hits += 1;
                     }
                 }

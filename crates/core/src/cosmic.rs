@@ -7,6 +7,7 @@
 //! hide) and CPU slightly positive.
 
 use hpcfail_stats::corr::{pearson, spearman};
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::Trace;
 use hpcfail_types::prelude::*;
 use std::collections::BTreeMap;
@@ -30,12 +31,6 @@ pub struct CosmicAnalysis<'a> {
 }
 
 impl<'a> CosmicAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::cosmic` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        CosmicAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::cosmic`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -70,13 +65,12 @@ impl<'a> CosmicAnalysis<'a> {
         let last_month = s.config().end.month_index(); // exclusive if partial
                                                        // Nodes with >=1 matching failure per month.
         let mut failing: BTreeMap<i64, std::collections::BTreeSet<NodeId>> = BTreeMap::new();
-        for f in s.failures() {
-            if class.matches(f) {
-                failing
-                    .entry(f.time.month_index())
-                    .or_default()
-                    .insert(f.node);
-            }
+        let cols = s.failure_columns();
+        for i in cols.rows_matching(ClassCode::new(class)) {
+            failing
+                .entry(cols.time(i).month_index())
+                .or_default()
+                .insert(cols.node(i));
         }
         (first_month..last_month)
             .filter_map(|month| {

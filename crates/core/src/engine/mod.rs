@@ -1,13 +1,13 @@
 //! The unified analysis engine: one typed entry point for every
 //! analysis in the crate.
 //!
-//! An [`Engine`] owns a shared, immutable [`Trace`] plus a structural
-//! fingerprint of it. Analyses are reached two ways:
+//! An [`Engine`] owns a shared, immutable [`Trace`]; its fingerprint is
+//! the trace's memoized content fingerprint ([`Trace::fingerprint`]).
+//! Analyses are reached two ways:
 //!
 //! * **Views** — [`Engine::correlation`], [`Engine::power`], … return
-//!   the familiar per-section analysis values, borrowing the engine's
-//!   trace. These replace the now-deprecated per-analysis `new`
-//!   constructors.
+//!   the per-section analysis values, borrowing the engine's trace.
+//!   They are the only constructors of those values.
 //! * **Requests** — [`Engine::run`] answers a serializable
 //!   [`AnalysisRequest`] with an [`AnalysisResult`]. This is the wire
 //!   API of `hpcfail-serve` and the programmatic API of the `repro`
@@ -56,23 +56,18 @@ use std::sync::Arc;
 /// The unified entry point to every analysis.
 ///
 /// See the [module docs](self) for the two access styles. Cloning is
-/// cheap: clones share the trace and fingerprint.
+/// cheap: clones share the trace and its fingerprint memo.
 #[derive(Debug, Clone)]
 pub struct Engine {
     trace: Arc<Trace>,
-    fingerprint: u64,
 }
 
 impl Engine {
-    /// Builds an engine over a trace, fingerprinting it once.
+    /// Builds an engine over a trace.
     pub fn new(trace: Trace) -> Self {
-        Engine::from_arc(Arc::new(trace))
-    }
-
-    /// Builds an engine over an already-shared trace.
-    pub fn from_arc(trace: Arc<Trace>) -> Self {
-        let fingerprint = fingerprint_trace(&trace);
-        Engine { trace, fingerprint }
+        Engine {
+            trace: Arc::new(trace),
+        }
     }
 
     /// The underlying trace.
@@ -80,22 +75,17 @@ impl Engine {
         &self.trace
     }
 
-    /// A shareable handle to the underlying trace.
-    pub fn shared_trace(&self) -> Arc<Trace> {
-        Arc::clone(&self.trace)
-    }
-
-    /// FNV-1a hash of the trace's structure: every record of every
-    /// system in deterministic order. Two engines over equal traces
-    /// have equal fingerprints, which is what lets a result cache be
-    /// keyed on (fingerprint, request).
+    /// The trace's content fingerprint ([`Trace::fingerprint`]),
+    /// computed on first use and memoized on the trace. Two engines over
+    /// equal traces have equal fingerprints, which is what lets a result
+    /// cache be keyed on (fingerprint, request).
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.trace.fingerprint()
     }
 
     /// The fingerprint as 16 lowercase hex digits.
     pub fn fingerprint_hex(&self) -> String {
-        format!("{:016x}", self.fingerprint)
+        format!("{:016x}", self.fingerprint())
     }
 
     /// Section III: the correlation analysis.
@@ -333,111 +323,6 @@ impl Engine {
             }
         }
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Streaming FNV-1a over the trace's structural content.
-struct Fnv(u64);
-
-impl Fnv {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.write(&v.to_bits().to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-}
-
-fn fingerprint_trace(trace: &Trace) -> u64 {
-    let mut h = Fnv(FNV_OFFSET);
-    h.u64(trace.len() as u64);
-    for system in trace.systems() {
-        let config = system.config();
-        h.u64(u64::from(config.id.raw()));
-        h.str(&config.name);
-        h.u64(u64::from(config.nodes));
-        h.u64(u64::from(config.procs_per_node));
-        h.u64(match config.hardware {
-            HardwareClass::Smp4Way => 0,
-            HardwareClass::Numa => 1,
-        });
-        h.i64(config.start.as_seconds());
-        h.i64(config.end.as_seconds());
-        h.u64(u64::from(config.has_layout));
-        h.u64(u64::from(config.has_job_log));
-        h.u64(u64::from(config.has_temperature));
-
-        h.u64(system.failures().len() as u64);
-        for f in system.failures() {
-            h.u64(u64::from(f.node.raw()));
-            h.i64(f.time.as_seconds());
-            h.str(f.root_cause.label());
-            match f.sub_cause {
-                SubCause::None => h.u64(0),
-                SubCause::Hardware(c) => {
-                    h.u64(1);
-                    h.str(c.label());
-                }
-                SubCause::Software(c) => {
-                    h.u64(2);
-                    h.str(c.label());
-                }
-                SubCause::Environment(c) => {
-                    h.u64(3);
-                    h.str(c.label());
-                }
-            }
-            h.i64(f.downtime.map_or(-1, Duration::as_seconds));
-        }
-
-        h.u64(system.jobs().len() as u64);
-        for j in system.jobs() {
-            h.u64(u64::from(j.user.raw()));
-            h.i64(j.dispatch.as_seconds());
-            h.i64(j.end.as_seconds());
-            h.u64(u64::from(j.procs));
-        }
-
-        h.u64(system.temperatures().len() as u64);
-        for t in system.temperatures() {
-            h.u64(u64::from(t.node.raw()));
-            h.i64(t.time.as_seconds());
-            h.f64(t.celsius);
-        }
-
-        h.u64(system.maintenance().len() as u64);
-        for m in system.maintenance() {
-            h.u64(u64::from(m.node.raw()));
-            h.i64(m.time.as_seconds());
-            h.u64(u64::from(m.hardware_related));
-            h.u64(u64::from(m.scheduled));
-        }
-    }
-    h.u64(trace.neutron_samples().len() as u64);
-    for s in trace.neutron_samples() {
-        h.i64(s.time.as_seconds());
-        h.f64(s.counts_per_minute);
-    }
-    h.0
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 use hpcfail_stats::htest::TestResult;
 use hpcfail_stats::mle::{rank_fits, FitError, RankedFit};
 use hpcfail_stats::timeseries::{acf, ljung_box};
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 use std::fmt;
@@ -59,12 +60,6 @@ pub struct ArrivalAnalysis<'a> {
 }
 
 impl<'a> ArrivalAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::arrivals` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        ArrivalAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::arrivals`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -151,11 +146,10 @@ impl From<FitError> for ArrivalError {
 /// System-wide inter-arrival gaps (hours) between consecutive failures
 /// of `class`.
 fn interarrival_hours(system: &SystemTrace, class: FailureClass) -> Vec<f64> {
-    let times: Vec<i64> = system
-        .failures()
-        .iter()
-        .filter(|f| class.matches(f))
-        .map(|f| f.time.as_seconds())
+    let cols = system.failure_columns();
+    let times: Vec<i64> = cols
+        .rows_matching(ClassCode::new(class))
+        .map(|i| cols.times()[i])
         .collect();
     times
         .windows(2)
@@ -168,13 +162,12 @@ fn interarrival_hours(system: &SystemTrace, class: FailureClass) -> Vec<f64> {
 fn daily_counts(system: &SystemTrace, class: FailureClass) -> Vec<f64> {
     let days = system.config().observation_days().max(0) as usize;
     let start = system.config().start;
+    let cols = system.failure_columns();
     let mut counts = vec![0.0; days];
-    for f in system.failures() {
-        if class.matches(f) {
-            let d = (f.time - start).as_seconds() / 86_400;
-            if (0..days as i64).contains(&d) {
-                counts[d as usize] += 1.0;
-            }
+    for i in cols.rows_matching(ClassCode::new(class)) {
+        let d = (cols.time(i) - start).as_seconds() / 86_400;
+        if (0..days as i64).contains(&d) {
+            counts[d as usize] += 1.0;
         }
     }
     counts

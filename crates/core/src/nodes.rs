@@ -7,6 +7,7 @@
 
 use hpcfail_stats::htest::{chi_square_equal_proportions, TestResult};
 use hpcfail_stats::proportion::Proportion;
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 use std::collections::BTreeMap;
@@ -37,12 +38,6 @@ pub struct NodeAnalysis<'a> {
 }
 
 impl<'a> NodeAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::nodes` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        NodeAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::nodes`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -79,10 +74,11 @@ impl<'a> NodeAnalysis<'a> {
         exclude: &[NodeId],
     ) -> Option<TestResult> {
         let s = self.system(system)?;
+        let (cols, code) = (s.failure_columns(), ClassCode::new(class));
         let counts: Vec<f64> = s
             .nodes()
             .filter(|n| !exclude.contains(n))
-            .map(|n| s.node_failures(n).filter(|f| class.matches(f)).count() as f64)
+            .map(|n| cols.node_count_matching(n, code) as f64)
             .collect();
         if counts.len() < 2 {
             return None;
@@ -102,11 +98,12 @@ impl<'a> NodeAnalysis<'a> {
         let Some(s) = self.system(system) else {
             return BTreeMap::new();
         };
+        let cols = s.failure_columns();
         let mut counts: BTreeMap<RootCause, u64> = BTreeMap::new();
         let mut total = 0u64;
         for &n in nodes {
-            for f in s.node_failures(n) {
-                *counts.entry(f.root_cause).or_insert(0) += 1;
+            for &i in cols.node_postings(n) {
+                *counts.entry(cols.root(i as usize)).or_insert(0) += 1;
                 total += 1;
             }
         }

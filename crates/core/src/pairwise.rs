@@ -41,12 +41,6 @@ pub struct PairwiseAnalysis<'a> {
 }
 
 impl<'a> PairwiseAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::pairwise` instead")]
-    pub fn new(trace: &'a hpcfail_store::trace::Trace) -> Self {
-        PairwiseAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::pairwise`].
     pub(crate) fn over(trace: &'a hpcfail_store::trace::Trace) -> Self {

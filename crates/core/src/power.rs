@@ -8,6 +8,7 @@
 
 use crate::correlation::{CorrelationAnalysis, Scope};
 use crate::estimate::ConditionalEstimate;
+use hpcfail_store::columns::{sub_from_code, ClassCode};
 use hpcfail_store::query::WindowCounts;
 use hpcfail_store::trace::Trace;
 use hpcfail_types::prelude::*;
@@ -125,12 +126,6 @@ pub struct PowerAnalysis<'a> {
 }
 
 impl<'a> PowerAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::power` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        PowerAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::power`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -148,8 +143,8 @@ impl<'a> PowerAnalysis<'a> {
             counts.insert(cause, 0u64);
         }
         for system in self.trace.systems() {
-            for f in system.failures() {
-                if let SubCause::Environment(c) = f.sub_cause {
+            for &code in system.failure_columns().subs() {
+                if let Some(SubCause::Environment(c)) = sub_from_code(code) {
                     *counts.entry(c).or_insert(0) += 1;
                 }
             }
@@ -266,22 +261,24 @@ impl<'a> PowerAnalysis<'a> {
     /// maintenance* within a month of a power problem, against the
     /// random-month baseline.
     pub fn maintenance_after(&self, problem: PowerProblem) -> ConditionalEstimate {
-        let class = problem.class();
+        let class = ClassCode::new(problem.class());
         let parts: Vec<ConditionalEstimate> = self
             .trace
             .systems()
             .map(|system| {
                 let base = system.indexed_maintenance_baseline(Window::Month);
+                let cols = system.failure_columns();
                 let mut cond = WindowCounts::default();
-                for f in system.failures() {
-                    if !class.matches(f) || !system.window_observed(f.time, Window::Month) {
+                for i in cols.rows_matching(class) {
+                    let time = cols.time(i);
+                    if !system.window_observed(time, Window::Month) {
                         continue;
                     }
                     cond.total += 1;
                     if system.node_has_unscheduled_hw_maintenance_in(
-                        f.node,
-                        f.time,
-                        f.time + Window::Month.duration(),
+                        cols.node(i),
+                        time,
+                        time + Window::Month.duration(),
                     ) {
                         cond.hits += 1;
                     }
@@ -298,16 +295,16 @@ impl<'a> PowerAnalysis<'a> {
         let Some(s) = self.trace.system(system) else {
             return Vec::new();
         };
-        s.failures()
-            .iter()
-            .filter_map(|f| {
+        let cols = s.failure_columns();
+        (0..cols.len())
+            .filter_map(|i| {
                 let kind = PowerProblem::ALL
                     .into_iter()
-                    .find(|p| p.class().matches(f))?;
+                    .find(|p| cols.row_matches(i, ClassCode::new(p.class())))?;
                 Some(PowerScatterPoint {
                     kind,
-                    node: f.node,
-                    time: f.time,
+                    node: cols.node(i),
+                    time: cols.time(i),
                 })
             })
             .collect()

@@ -8,6 +8,7 @@
 //! contains a failure), recall (how many failures fall inside flagged
 //! windows) and the cost (fraction of node-time flagged).
 
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 
@@ -121,6 +122,8 @@ impl AlarmRule {
         let config = system.config();
         eval.total_seconds =
             config.nodes as u64 * config.observation_span().as_seconds().max(0) as u64;
+        let cols = system.failure_columns();
+        let trigger = ClassCode::new(self.trigger);
 
         for node in system.nodes() {
             // A node with no failures raises no alarms, flags no time,
@@ -130,16 +133,21 @@ impl AlarmRule {
             if system.node_failure_count(node) == 0 {
                 continue;
             }
-            let failures: Vec<&FailureRecord> = system.node_failures(node).collect();
+            // (time, is a trigger) for each of the node's failures.
+            let failures: Vec<(Timestamp, bool)> = cols
+                .node_postings(node)
+                .iter()
+                .map(|&i| (cols.time(i as usize), cols.row_matches(i as usize, trigger)))
+                .collect();
             // Flagged intervals from triggers (merged union for cost).
             let mut intervals: Vec<(i64, i64)> = Vec::new();
-            for f in &failures {
-                if self.trigger.matches(f) && system.window_observed(f.time, self.window) {
+            for &(time, is_trigger) in &failures {
+                if is_trigger && system.window_observed(time, self.window) {
                     eval.alarms += 1;
-                    if system.node_has_failure_in(node, FailureClass::Any, f.time, f.time + w) {
+                    if system.node_has_failure_in(node, FailureClass::Any, time, time + w) {
                         eval.correct_alarms += 1;
                     }
-                    intervals.push((f.time.as_seconds(), (f.time + w).as_seconds()));
+                    intervals.push((time.as_seconds(), (time + w).as_seconds()));
                 }
             }
             intervals.sort_unstable();
@@ -162,13 +170,13 @@ impl AlarmRule {
             eval.flagged_seconds += covered.max(0) as u64;
 
             // Recall: failures preceded by a matching trigger within w.
-            for (i, f) in failures.iter().enumerate() {
+            for (i, &(time, _)) in failures.iter().enumerate() {
                 eval.total_failures += 1;
-                let earliest = f.time - w;
+                let earliest = time - w;
                 let caught = failures[..i]
                     .iter()
                     .rev()
-                    .any(|g| g.time >= earliest && g.time < f.time && self.trigger.matches(g));
+                    .any(|&(t, is_trigger)| t >= earliest && t < time && is_trigger);
                 if caught {
                     eval.caught_failures += 1;
                 }

@@ -90,12 +90,6 @@ pub struct RegressionStudy<'a> {
 }
 
 impl<'a> RegressionStudy<'a> {
-    /// Creates the study over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::regression` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        RegressionStudy::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::regression`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -241,7 +235,7 @@ mod tests {
 
     /// 60 nodes with layout + temperature + jobs; failures driven by
     /// num_jobs, not by temperature or PIR.
-    pub(super) fn build() -> Trace {
+    fn build() -> Trace {
         let config = SystemConfig {
             id: SystemId::new(20),
             name: "t".into(),
@@ -409,26 +403,5 @@ mod tests {
             .fit(SystemId::new(9), StudyFamily::Poisson, false)
             .unwrap_err();
         assert_eq!(err, GlmError::Underdetermined);
-    }
-}
-
-#[cfg(test)]
-mod debug_fit {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn print_fit() {
-        let trace = super::tests::build();
-        let study = RegressionStudy::over(&trace);
-        let fit = study
-            .fit(SystemId::new(20), StudyFamily::Poisson, false)
-            .unwrap();
-        for c in &fit.coefficients {
-            println!(
-                "{}: est {:.5} se {:.5} z {:.2} p {:.4}",
-                c.name, c.estimate, c.std_error, c.z_value, c.p_value
-            );
-        }
     }
 }

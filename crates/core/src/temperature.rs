@@ -14,6 +14,7 @@
 use crate::correlation::{CorrelationAnalysis, Scope};
 use crate::estimate::ConditionalEstimate;
 use hpcfail_stats::glm::{fit_negative_binomial, Family, GlmError, GlmFit, GlmModel};
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::Trace;
 use hpcfail_types::prelude::*;
 
@@ -135,12 +136,6 @@ pub struct TemperatureAnalysis<'a> {
 }
 
 impl<'a> TemperatureAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::temperature` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        TemperatureAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::temperature`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -202,7 +197,10 @@ impl<'a> TemperatureAnalysis<'a> {
                 TempPredictor::Variance => agg.variance,
             };
             xs.push(x);
-            ys.push(s.node_failures(node).filter(|f| target.matches(f)).count() as f64);
+            ys.push(
+                s.failure_columns()
+                    .node_count_matching(node, ClassCode::new(target)) as f64,
+            );
         }
         if xs.is_empty() {
             return Err(GlmError::DimensionMismatch {

@@ -26,12 +26,6 @@ pub struct UserAnalysis<'a> {
 }
 
 impl<'a> UserAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::users` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        UserAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::users`].
     pub(crate) fn over(trace: &'a Trace) -> Self {

@@ -86,7 +86,7 @@ fn oracle_replay_node(
                     fh < t
                         && t <= fh + window_h
                         && system.node_failures(node).any(|f| {
-                            rule.trigger.matches(f)
+                            rule.trigger.matches(&f)
                                 && ((f.time - start).as_seconds() as f64 / 3600.0 - fh).abs() < 1e-9
                         })
                 });

@@ -4,25 +4,16 @@
 //! analysis directly, and repeated (warm) runs must equal the first
 //! (cold) one byte-for-byte.
 
-#![allow(deprecated)]
-
-use hpcfail_core::availability::AvailabilityAnalysis;
 use hpcfail_core::checkpoint::{CheckpointPolicy, CheckpointSimulator};
-use hpcfail_core::correlation::{CorrelationAnalysis, Scope};
-use hpcfail_core::cosmic::CosmicAnalysis;
+use hpcfail_core::correlation::Scope;
 use hpcfail_core::engine::{
     AnalysisRequest, AnalysisResult, ArrivalSummary, CosmicSummary, Engine, EnvShare, GlmSummary,
     RootShare, UsageSummary, UserSummary, REQUEST_KINDS,
 };
-use hpcfail_core::interarrival::ArrivalAnalysis;
-use hpcfail_core::nodes::NodeAnalysis;
-use hpcfail_core::pairwise::PairwiseAnalysis;
-use hpcfail_core::power::{PowerAnalysis, PowerProblem};
+use hpcfail_core::power::PowerProblem;
 use hpcfail_core::predict::AlarmRule;
-use hpcfail_core::regression_study::{RegressionStudy, StudyFamily};
-use hpcfail_core::temperature::{TempPredictor, TemperatureAnalysis};
-use hpcfail_core::usage::UsageAnalysis;
-use hpcfail_core::users::UserAnalysis;
+use hpcfail_core::regression_study::StudyFamily;
+use hpcfail_core::temperature::TempPredictor;
 use hpcfail_stats::glm::Family;
 use hpcfail_store::trace::Trace;
 use hpcfail_types::prelude::*;
@@ -148,8 +139,8 @@ fn requests_for(system: SystemId, seed: (usize, usize, usize)) -> Vec<AnalysisRe
     ]
 }
 
-/// Computes the answer to `request` through the deprecated direct
-/// constructors, byte-compatible with `Engine::run`.
+/// Computes the answer to `request` through the engine's per-analysis
+/// views, byte-compatible with `Engine::run`.
 fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> AnalysisResult {
     match request {
         AnalysisRequest::TraceSummary => {
@@ -166,7 +157,8 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             window,
             scope,
         } => AnalysisResult::Conditional(
-            CorrelationAnalysis::new(trace)
+            engine
+                .correlation()
                 .group_conditional(*group, *trigger, *target, *window, *scope),
         ),
         AnalysisRequest::FleetConditional {
@@ -175,17 +167,21 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             window,
             scope,
         } => AnalysisResult::Conditional(
-            CorrelationAnalysis::new(trace).fleet_conditional(*trigger, *target, *window, *scope),
+            engine
+                .correlation()
+                .fleet_conditional(*trigger, *target, *window, *scope),
         ),
         AnalysisRequest::SameTypeSummaries {
             group,
             window,
             scope,
         } => AnalysisResult::SameType(
-            PairwiseAnalysis::new(trace).same_type_summaries(*group, *window, *scope),
+            engine
+                .pairwise()
+                .same_type_summaries(*group, *window, *scope),
         ),
         AnalysisRequest::NodeFailureCounts { system } => {
-            AnalysisResult::NodeFailureCounts(NodeAnalysis::new(trace).failure_counts(*system))
+            AnalysisResult::NodeFailureCounts(engine.nodes().failure_counts(*system))
         }
         AnalysisRequest::EqualRatesTest {
             system,
@@ -197,27 +193,26 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             } else {
                 &[]
             };
-            AnalysisResult::Test(
-                NodeAnalysis::new(trace).equal_rates_test(*system, *class, exclude),
-            )
+            AnalysisResult::Test(engine.nodes().equal_rates_test(*system, *class, exclude))
         }
         AnalysisRequest::NodeVsRest {
             system,
             node,
             class,
             window,
-        } => AnalysisResult::NodeVsRest(
-            NodeAnalysis::new(trace).node_vs_rest(*system, *node, *class, *window),
-        ),
+        } => {
+            AnalysisResult::NodeVsRest(engine.nodes().node_vs_rest(*system, *node, *class, *window))
+        }
         AnalysisRequest::RootCauseShares { system, nodes } => AnalysisResult::RootCauseShares(
-            NodeAnalysis::new(trace)
+            engine
+                .nodes()
                 .root_cause_shares(*system, nodes)
                 .into_iter()
                 .map(|(root, share)| RootShare { root, share })
                 .collect(),
         ),
         AnalysisRequest::UsageCorrelations { system } => {
-            let usage = UsageAnalysis::new(trace);
+            let usage = engine.usage();
             AnalysisResult::Usage(UsageSummary {
                 jobs_pearson: usage.jobs_failures_pearson(*system),
                 util_pearson: usage.util_failures_pearson(*system),
@@ -225,7 +220,7 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             })
         }
         AnalysisRequest::HeaviestUsers { system, k } => {
-            let users = UserAnalysis::new(trace);
+            let users = engine.users();
             let stats = users.heaviest_users(*system, *k);
             let heterogeneity = users.heterogeneity_test(&stats);
             AnalysisResult::Users(UserSummary {
@@ -234,7 +229,7 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             })
         }
         AnalysisRequest::EnvBreakdown => {
-            let power = PowerAnalysis::new(trace);
+            let power = engine.power();
             let shares = power.env_shares();
             AnalysisResult::EnvBreakdown(
                 power
@@ -253,10 +248,10 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             target,
             window,
         } => AnalysisResult::Conditional(
-            PowerAnalysis::new(trace).conditional_after(*problem, *target, *window),
+            engine.power().conditional_after(*problem, *target, *window),
         ),
         AnalysisRequest::MaintenanceAfterPower { problem } => {
-            AnalysisResult::Conditional(PowerAnalysis::new(trace).maintenance_after(*problem))
+            AnalysisResult::Conditional(engine.power().maintenance_after(*problem))
         }
         AnalysisRequest::TemperatureRegression {
             system,
@@ -269,14 +264,15 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
                 StudyFamily::NegativeBinomial => Family::NegativeBinomial { theta: 1.0 },
             };
             AnalysisResult::Glm(
-                TemperatureAnalysis::new(trace)
+                engine
+                    .temperature()
                     .regression(*system, *predictor, *target, family)
                     .map(|fit| GlmSummary::from_fit(&fit))
                     .map_err(|e| e.to_string()),
             )
         }
         AnalysisRequest::CosmicCorrelation { system, class } => {
-            let cosmic = CosmicAnalysis::new(trace);
+            let cosmic = engine.cosmic();
             AnalysisResult::Cosmic(CosmicSummary {
                 months: cosmic.monthly_series(*system, *class).len(),
                 pearson: cosmic.flux_correlation(*system, *class),
@@ -288,13 +284,15 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             family,
             exclude_node0,
         } => AnalysisResult::Glm(
-            RegressionStudy::new(trace)
+            engine
+                .regression()
                 .fit(*system, *family, *exclude_node0)
                 .map(|fit| GlmSummary::from_fit(&fit))
                 .map_err(|e| e.to_string()),
         ),
         AnalysisRequest::ArrivalProfile { system, class } => AnalysisResult::Arrival(
-            ArrivalAnalysis::new(trace)
+            engine
+                .arrivals()
                 .profile(*system, *class)
                 .map(|p| ArrivalSummary::from_profile(&p))
                 .map_err(|e| e.to_string()),
@@ -314,7 +312,7 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             CheckpointSimulator::typical().replay_group(trace, *group, *policy),
         ),
         AnalysisRequest::Availability { system } => {
-            let availability = AvailabilityAnalysis::new(trace);
+            let availability = engine.availability();
             AnalysisResult::Availability(match system {
                 Some(id) => availability.report(*id).into_iter().collect(),
                 None => availability.all_reports(),

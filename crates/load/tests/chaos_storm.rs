@@ -23,6 +23,9 @@ use hpcfail_serve::slo::SloPolicy;
 use hpcfail_synth::Scenario;
 use std::time::Duration;
 
+/// Query path of the boot trace.
+const QUERY: &str = "/v1/traces/default/query";
+
 fn fixture() -> Scenario {
     Scenario::parse(
         r#"{
@@ -150,11 +153,11 @@ fn seeded_storm_has_identical_counts_and_recovers_to_healthy_slo() {
     let client = Client::new(addr);
     for _ in 0..10 {
         let response = client
-            .post("/query", r#"{"analysis": "trace-summary"}"#, &[])
+            .post(QUERY, r#"{"analysis": "trace-summary"}"#, &[])
             .expect("clean query");
         assert_eq!(response.status, 200, "post-storm traffic is clean");
     }
-    let health = client.get("/healthz").expect("healthz");
+    let health = client.get("/v1/healthz").expect("healthz");
     assert_eq!(health.status, 200);
     let body = hpcfail_obs::json::parse(&health.body).expect("healthz json");
     let slo_status = body

@@ -150,7 +150,7 @@ mod tests {
         AccessEntry {
             trace_id: "00000000000000ab".to_owned(),
             method: "POST".to_owned(),
-            path: "/query".to_owned(),
+            path: "/v1/traces/default/query".to_owned(),
             kind: kind.to_owned(),
             status: 200,
             latency_us: 1500,

@@ -25,7 +25,7 @@ pub const MAX_UPLOAD_BODY: usize = 64 * 1024 * 1024;
 pub struct Request {
     /// Upper-cased method, e.g. `GET`.
     pub method: String,
-    /// The path, query string included, e.g. `/query`.
+    /// The path, query string included, e.g. `/v1/traces/default/query`.
     pub path: String,
     /// Header pairs; names lower-cased.
     pub headers: Vec<(String, String)>,

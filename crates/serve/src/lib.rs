@@ -8,8 +8,8 @@
 //! [`AnalysisRequest`](hpcfail_core::engine::AnalysisRequest)s arrive
 //! as JSON over plain HTTP/1.1 — std only, no frameworks. The HTTP
 //! surface is versioned and trace-scoped (`/v1/traces/{name}/query`,
-//! see [`routes`]); the legacy unversioned endpoints keep working
-//! against the `default` trace with an `x-api-deprecated` header.
+//! see [`routes`]); it is the only surface — the unversioned paths of
+//! earlier releases answer a typed 404.
 //! Re-uploading a name is an atomic epoch swap: in-flight queries
 //! finish against their pinned epoch, and the old epoch's memory is
 //! released when its last pin drops. Under `--max-resident-bytes`,
@@ -32,10 +32,10 @@
 //! Under load the server protects itself instead of falling over:
 //!
 //! * **Admission control** ([`admission`]): a bounded gate in front of
-//!   the worker pool classifies every `/query`/`/batch` by cost
+//!   the worker pool classifies every query and batch by cost
 //!   (cached hit / cold scan / batch) and sheds with *typed* `429`/
 //!   `503` + `Retry-After` when full — brownout mode sheds expensive
-//!   classes first while `/healthz` and `/metrics` stay always-on.
+//!   classes first while `/v1/healthz` and `/v1/metrics` stay always-on.
 //! * **Retrying client** ([`retry`]): seeded jittered exponential
 //!   backoff with a retry budget and honor-`Retry-After` semantics,
 //!   used by `hpcfail-serve query` and `hpcfail-load`'s HTTP target.
@@ -48,13 +48,13 @@
 //! * Every request runs under a trace; the id comes back in the
 //!   `x-trace-id` header, and `x-trace: 1` returns the full span tree
 //!   inline ([`server`]).
-//! * `GET /metrics` exports the registry in Prometheus text format
+//! * `GET /v1/metrics` exports the registry in Prometheus text format
 //!   ([`metrics`]), validated by the in-tree parser ([`promtext`]).
 //! * Per-kind sliding-window latency and error budgets feed SLO
-//!   standings ([`slo`]) into `/healthz` and `serve_slo_*` series.
+//!   standings ([`slo`]) into `/v1/healthz` and `serve_slo_*` series.
 //! * An optional size-capped JSONL access log records one line per
 //!   request ([`accesslog`]).
-//! * `hpcfail-serve top` polls `/metrics` into a live dashboard
+//! * `hpcfail-serve top` polls `/v1/metrics` into a live dashboard
 //!   ([`top`]).
 //!
 //! The flat counters (`serve.requests`, `serve.cache.hit`,

@@ -13,7 +13,7 @@
 //! Under a global `--max-resident-bytes` budget, the registry demotes
 //! the least-recently-queried traces to **cold** state: the engine is
 //! re-encoded as `.hpcsnap` bytes (a fraction of the warm footprint —
-//! no indexes, no materialized rows) and the warm engine dropped. The
+//! no indexes, no record structs) and the warm engine dropped. The
 //! next query against a cold trace rehydrates it transparently, which
 //! may in turn demote some other idle trace. The trace being inserted
 //! or queried is never its own eviction victim, so a single trace
@@ -32,7 +32,7 @@ use hpcfail_store::trace::Trace;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// The name legacy endpoints resolve against.
+/// The name the boot trace registers under.
 pub const DEFAULT_TRACE: &str = "default";
 
 /// `true` when `name` is usable as a registry slot: 1–64 characters,
@@ -111,7 +111,7 @@ pub struct ResolvedTrace {
     pub engine: Arc<Engine>,
     /// The registry epoch this resolution pinned.
     pub epoch: u64,
-    /// The engine's structural fingerprint (the cache-key component).
+    /// The trace content fingerprint (the cache-key component).
     pub fingerprint: u64,
 }
 
@@ -122,7 +122,7 @@ pub struct TraceSummary {
     pub name: String,
     /// Epoch counter value assigned at insert.
     pub epoch: u64,
-    /// Structural fingerprint of the trace data.
+    /// Content fingerprint of the trace data.
     pub fingerprint: u64,
     /// Systems in the trace.
     pub systems: usize,

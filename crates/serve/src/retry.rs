@@ -338,7 +338,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let c = client(policy);
-        let outcome = c.get_detailed("/healthz");
+        let outcome = c.get_detailed("/v1/healthz");
         assert!(outcome.result.is_err());
         assert_eq!(outcome.attempts, 3);
         assert!(outcome.gave_up);
@@ -357,9 +357,9 @@ mod tests {
             ..RetryPolicy::default()
         };
         let c = client(policy);
-        let first = c.get_detailed("/healthz");
+        let first = c.get_detailed("/v1/healthz");
         assert_eq!(first.attempts, 4, "3 budgeted retries then give up");
-        let second = c.get_detailed("/healthz");
+        let second = c.get_detailed("/v1/healthz");
         assert_eq!(second.attempts, 1, "budget spent: no retries left");
         assert!(second.gave_up);
         assert_eq!(c.stats().retries, 3);
@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn none_policy_sends_exactly_once() {
         let c = client(RetryPolicy::none());
-        let outcome = c.get_detailed("/healthz");
+        let outcome = c.get_detailed("/v1/healthz");
         assert_eq!(outcome.attempts, 1);
         assert!(outcome.gave_up);
         assert_eq!(c.stats().retries, 0);

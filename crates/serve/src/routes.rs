@@ -1,29 +1,19 @@
 //! The central route table: one declarative list of every endpoint the
 //! server answers, replacing ad-hoc `(method, path)` matching.
 //!
-//! Two API surfaces resolve onto the same endpoints:
-//!
-//! * the **versioned, trace-scoped** surface under `/v1` — analysis
-//!   endpoints name their trace in the path
-//!   (`POST /v1/traces/{name}/query`), registry management lives under
-//!   `/v1/traces`, and control endpoints are registry-wide
-//!   (`GET /v1/healthz`);
-//! * the **legacy** unversioned surface (`POST /query`,
-//!   `GET /healthz`, …), which resolves against the
-//!   [`DEFAULT_TRACE`] and is marked
-//!   [`RouteMatch::legacy`] so the server can attach the deprecation
-//!   signal (`x-api-deprecated: true` header; `deprecation: true` body
-//!   field on control endpoints whose payloads are extensible).
+//! There is one API surface, versioned under `/v1` and trace-scoped:
+//! analysis endpoints name their trace in the path
+//! (`POST /v1/traces/{name}/query`), registry management lives under
+//! `/v1/traces`, and control endpoints are registry-wide
+//! (`GET /v1/healthz`). The unversioned paths of earlier releases
+//! (`/query`, `/healthz`, …) are gone and answer a typed 404.
 //!
 //! Unknown paths resolve to a typed 404 and known paths with the wrong
 //! method to a typed 405 (listing the allowed methods), so the error
 //! surface is enumerable — see the table test below, which walks every
 //! `(method, path)` pair.
 
-use crate::registry::DEFAULT_TRACE;
-
-/// Everything the server can do, independent of which API surface
-/// (versioned or legacy) the request used.
+/// Everything the server can do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// Liveness + registry + SLO standings.
@@ -63,12 +53,9 @@ impl Endpoint {
 pub struct RouteMatch {
     /// The endpoint to dispatch to.
     pub endpoint: Endpoint,
-    /// The trace name bound from the path (or the default trace for
-    /// legacy analysis endpoints); `None` for registry-wide endpoints.
+    /// The trace name bound from the path; `None` for registry-wide
+    /// endpoints.
     pub trace: Option<String>,
-    /// `true` when the request came in over the unversioned legacy
-    /// surface.
-    pub legacy: bool,
 }
 
 /// The routing outcome for a `(method, path)` pair.
@@ -89,7 +76,6 @@ struct RouteSpec {
     method: &'static str,
     pattern: &'static str,
     endpoint: Endpoint,
-    legacy: bool,
 }
 
 const fn v1(method: &'static str, pattern: &'static str, endpoint: Endpoint) -> RouteSpec {
@@ -97,16 +83,6 @@ const fn v1(method: &'static str, pattern: &'static str, endpoint: Endpoint) -> 
         method,
         pattern,
         endpoint,
-        legacy: false,
-    }
-}
-
-const fn legacy(method: &'static str, pattern: &'static str, endpoint: Endpoint) -> RouteSpec {
-    RouteSpec {
-        method,
-        pattern,
-        endpoint,
-        legacy: true,
     }
 }
 
@@ -123,12 +99,6 @@ const ROUTES: &[RouteSpec] = &[
     v1("DELETE", "/v1/traces/{name}", Endpoint::TraceDelete),
     v1("POST", "/v1/traces/{name}/query", Endpoint::Query),
     v1("POST", "/v1/traces/{name}/batch", Endpoint::Batch),
-    legacy("GET", "/healthz", Endpoint::Healthz),
-    legacy("GET", "/metrics", Endpoint::Metrics),
-    legacy("GET", "/requests", Endpoint::Requests),
-    legacy("POST", "/shutdown", Endpoint::Shutdown),
-    legacy("POST", "/query", Endpoint::Query),
-    legacy("POST", "/batch", Endpoint::Batch),
 ];
 
 /// Matches `path` against `pattern`, returning the bound `{name}`
@@ -162,18 +132,9 @@ pub fn resolve(method: &str, path: &str) -> Routed {
             }
             continue;
         }
-        let trace = match spec.endpoint {
-            Endpoint::Query
-            | Endpoint::Batch
-            | Endpoint::TraceUpload
-            | Endpoint::TraceShow
-            | Endpoint::TraceDelete => Some(bound.unwrap_or_else(|| DEFAULT_TRACE.to_owned())),
-            _ => None,
-        };
         return Routed::Matched(RouteMatch {
             endpoint: spec.endpoint,
-            trace,
-            legacy: spec.legacy,
+            trace: bound,
         });
     }
     if allowed.is_empty() {
@@ -186,7 +147,7 @@ pub fn resolve(method: &str, path: &str) -> Routed {
 /// The path hint for 404 bodies.
 pub const KNOWN_PATHS_HINT: &str = "unknown path; try /v1/healthz, /v1/metrics, /v1/requests, \
      /v1/traces, /v1/traces/{name}, /v1/traces/{name}/query, /v1/traces/{name}/batch, \
-     /v1/shutdown (legacy unversioned forms also answer)";
+     /v1/shutdown";
 
 #[cfg(test)]
 mod tests {
@@ -236,24 +197,12 @@ mod tests {
                 &[("POST", Endpoint::Batch)],
                 &["POST"],
             ),
-            ("/healthz", &[("GET", Endpoint::Healthz)], &["GET"]),
-            ("/metrics", &[("GET", Endpoint::Metrics)], &["GET"]),
-            ("/requests", &[("GET", Endpoint::Requests)], &["GET"]),
-            ("/shutdown", &[("POST", Endpoint::Shutdown)], &["POST"]),
-            ("/query", &[("POST", Endpoint::Query)], &["POST"]),
-            ("/batch", &[("POST", Endpoint::Batch)], &["POST"]),
         ];
         for (path, expects, allowed) in table {
             for method in methods {
                 match expects.iter().find(|(m, _)| *m == method) {
                     Some((_, endpoint)) => {
-                        let m = matched(method, path);
-                        assert_eq!(m.endpoint, *endpoint, "{method} {path}");
-                        assert_eq!(
-                            m.legacy,
-                            !path.starts_with("/v1/"),
-                            "{method} {path} legacy flag"
-                        );
+                        assert_eq!(matched(method, path).endpoint, *endpoint, "{method} {path}");
                     }
                     None => match resolve(method, path) {
                         Routed::MethodNotAllowed(methods_seen) => {
@@ -264,8 +213,18 @@ mod tests {
                 }
             }
         }
-        // Paths no route knows are 404 for every method.
-        for path in ["/", "/nope", "/v1", "/v1/traces/a/b/c", "/v2/healthz"] {
+        // Paths no route knows are 404 for every method, including the
+        // retired unversioned surface.
+        let retired = [
+            "/healthz",
+            "/metrics",
+            "/requests",
+            "/shutdown",
+            "/query",
+            "/batch",
+        ];
+        let unknown = ["/", "/nope", "/v1", "/v1/traces/a/b/c", "/v2/healthz"];
+        for path in retired.into_iter().chain(unknown) {
             for method in methods {
                 assert_eq!(resolve(method, path), Routed::NotFound, "{method} {path}");
             }
@@ -284,11 +243,7 @@ mod tests {
             matched("DELETE", "/v1/traces/lanl96").trace.as_deref(),
             Some("lanl96")
         );
-        // Legacy analysis endpoints bind the default trace...
-        assert_eq!(matched("POST", "/query").trace.as_deref(), Some("default"));
-        assert_eq!(matched("POST", "/batch").trace.as_deref(), Some("default"));
-        // ...and control endpoints are registry-wide on both surfaces.
-        assert_eq!(matched("GET", "/healthz").trace, None);
+        // Control endpoints are registry-wide.
         assert_eq!(matched("GET", "/v1/healthz").trace, None);
     }
 
@@ -297,19 +252,5 @@ mod tests {
         assert_eq!(resolve("POST", "/v1/traces//query"), Routed::NotFound);
         // "/v1/traces/" has a trailing empty segment: not a name.
         assert_eq!(resolve("POST", "/v1/traces/"), Routed::NotFound);
-    }
-
-    #[test]
-    fn legacy_and_v1_share_endpoints() {
-        for (legacy_path, v1_path) in [
-            ("/healthz", "/v1/healthz"),
-            ("/metrics", "/v1/metrics"),
-            ("/requests", "/v1/requests"),
-        ] {
-            let l = matched("GET", legacy_path);
-            let v = matched("GET", v1_path);
-            assert_eq!(l.endpoint, v.endpoint);
-            assert!(l.legacy && !v.legacy);
-        }
     }
 }

@@ -18,13 +18,6 @@
 //! | `POST /v1/traces/{name}/batch` | a JSON array of requests → results |
 //! | `POST /v1/shutdown` | acknowledges, then stops the server |
 //!
-//! The legacy unversioned endpoints (`/query`, `/batch`, `/healthz`,
-//! `/metrics`, `/requests`, `/shutdown`) keep answering — analysis
-//! runs against the `default` trace — with `x-api-deprecated: true`
-//! on every response and a `"deprecation": true` field in the
-//! extensible control bodies (never in `/query`/`/batch` payloads,
-//! whose bytes are contractual).
-//!
 //! A query response body is **exactly**
 //! `engine.run(&request).to_json().pretty()` — byte-identical to an
 //! in-process call against that trace's pinned epoch — with the
@@ -466,7 +459,6 @@ fn respond(
     let trace_hex = trace.trace_id_hex();
 
     let routed = routes::resolve(&request.method, &request.path);
-    let legacy = matches!(&routed, Routed::Matched(m) if m.legacy);
     let analysis = matches!(&routed, Routed::Matched(m) if m.endpoint.is_analysis());
 
     let inflight = InflightGuard::enter(shared);
@@ -519,11 +511,6 @@ fn respond(
     };
 
     let mut headers: Vec<(&str, &str)> = vec![("x-trace-id", &trace_hex)];
-    // Every legacy-surface response carries the deprecation header;
-    // analysis bodies stay byte-identical, so the signal lives here.
-    if legacy {
-        headers.push(("x-api-deprecated", "true"));
-    }
     if let Some(cache) = cache {
         headers.push(("x-cache", cache));
     }
@@ -615,7 +602,7 @@ fn route(request: &Request, routed: &Routed, shared: &Shared) -> Reply {
     };
     let trace_name = matched.trace.as_deref().unwrap_or(DEFAULT_TRACE);
     match matched.endpoint {
-        Endpoint::Healthz => handle_healthz(shared, matched.legacy),
+        Endpoint::Healthz => handle_healthz(shared),
         Endpoint::Metrics => {
             let body = metrics::render(
                 &hpcfail_obs::snapshot(),
@@ -630,28 +617,20 @@ fn route(request: &Request, routed: &Routed, shared: &Shared) -> Reply {
             reply
         }
         Endpoint::Requests => {
-            let mut fields = vec![(
-                "kinds",
-                Json::Arr(
-                    REQUEST_KINDS
-                        .iter()
-                        .map(|k| Json::Str((*k).to_owned()))
-                        .collect(),
-                ),
-            )];
-            if matched.legacy {
-                fields.push(("deprecation", Json::Bool(true)));
-            }
-            Reply::ok(Json::obj(fields).pretty(), "requests")
+            let kinds = REQUEST_KINDS
+                .iter()
+                .map(|k| Json::Str((*k).to_owned()))
+                .collect();
+            Reply::ok(
+                Json::obj([("kinds", Json::Arr(kinds))]).pretty(),
+                "requests",
+            )
         }
         Endpoint::Shutdown => {
             shared.gate.begin_drain();
             shared.shutdown.store(true, Ordering::SeqCst);
-            let mut fields = vec![("status", Json::Str("shutting down".to_owned()))];
-            if matched.legacy {
-                fields.push(("deprecation", Json::Bool(true)));
-            }
-            let mut reply = Reply::ok(Json::obj(fields).pretty(), "shutdown");
+            let body = Json::obj([("status", Json::Str("shutting down".to_owned()))]).pretty();
+            let mut reply = Reply::ok(body, "shutdown");
             reply.force_close = true;
             reply
         }
@@ -707,7 +686,7 @@ fn route(request: &Request, routed: &Routed, shared: &Shared) -> Reply {
     }
 }
 
-fn handle_healthz(shared: &Shared, legacy: bool) -> Reply {
+fn handle_healthz(shared: &Shared) -> Reply {
     let slo = shared.slo.report();
     let mut fields = vec![(
         "status",
@@ -729,9 +708,6 @@ fn handle_healthz(shared: &Shared, legacy: bool) -> Reply {
     ));
     fields.push(("slo", slo.to_json()));
     fields.push(("admission", shared.gate.to_json()));
-    if legacy {
-        fields.push(("deprecation", Json::Bool(true)));
-    }
     Reply::ok(Json::obj(fields).pretty(), "healthz")
 }
 

@@ -1,4 +1,4 @@
-//! The `hpcfail-serve top` dashboard: polls `/metrics` and renders a
+//! The `hpcfail-serve top` dashboard: polls `/v1/metrics` and renders a
 //! terminal view of the service — request rate, in-flight count,
 //! cache hit rate, per-kind windowed p99 and SLO burn.
 //!
@@ -156,7 +156,7 @@ pub fn render_frame(frame: &Frame, addr: &str) -> String {
     out
 }
 
-/// Polls `/metrics` and writes frames to `out` until `frames` runs
+/// Polls `/v1/metrics` and writes frames to `out` until `frames` runs
 /// out or the server stops answering.
 ///
 /// # Errors
@@ -169,7 +169,7 @@ pub fn run(options: &TopOptions, out: &mut impl Write) -> io::Result<()> {
     let mut previous: Option<Scrape> = None;
     let mut remaining = options.frames;
     loop {
-        let response = match client.get("/metrics") {
+        let response = match client.get("/v1/metrics") {
             Ok(response) => response,
             Err(err) if previous.is_some() => {
                 writeln!(out, "server went away: {err}")?;
@@ -179,7 +179,7 @@ pub fn run(options: &TopOptions, out: &mut impl Write) -> io::Result<()> {
         };
         if response.status != 200 {
             return Err(io::Error::other(format!(
-                "/metrics answered {}",
+                "/v1/metrics answered {}",
                 response.status
             )));
         }

@@ -20,12 +20,15 @@ use hpcfail_serve::slo::SloPolicy;
 use hpcfail_serve::{promtext, top};
 use std::time::Duration;
 
+/// Query path of the boot trace.
+const QUERY: &str = "/v1/traces/default/query";
+
 fn engine() -> Engine {
     Engine::new(hpcfail_synth::FleetSpec::demo().generate(42).into_store())
 }
 
 fn scrape(client: &Client) -> promtext::Scrape {
-    let response = client.get("/metrics").expect("scrape");
+    let response = client.get("/v1/metrics").expect("scrape");
     assert_eq!(response.status, 200);
     assert!(
         response
@@ -55,7 +58,7 @@ fn metrics_scrape_is_valid_and_counts_match_the_client() {
 
     const N: usize = 8;
     for _ in 0..N {
-        let response = client.post("/query", &request, &[]).expect("query");
+        let response = client.post(QUERY, &request, &[]).expect("query");
         assert_eq!(response.status, 200);
         assert!(
             response
@@ -132,7 +135,7 @@ fn x_trace_returns_a_span_tree_around_the_exact_bytes() {
     let handle = spawn(engine, ServerConfig::default()).expect("bind");
     let client = Client::new(handle.addr().to_string());
     let response = client
-        .post("/query", &request.canonical(), &[("x-trace", "1")])
+        .post(QUERY, &request.canonical(), &[("x-trace", "1")])
         .expect("traced query");
     assert_eq!(response.status, 200);
 
@@ -175,7 +178,7 @@ fn x_trace_returns_a_span_tree_around_the_exact_bytes() {
     );
     // The root span carries the request attributes.
     let attrs = root.get("attrs").expect("root attrs");
-    assert_eq!(attrs.get("path").and_then(Json::as_str), Some("/query"));
+    assert_eq!(attrs.get("path").and_then(Json::as_str), Some(QUERY));
     assert_eq!(
         attrs.get("kind").and_then(Json::as_str),
         Some("availability")
@@ -202,7 +205,7 @@ fn panicking_handler_answers_500_and_releases_the_inflight_gauge() {
     let client = Client::new(handle.addr().to_string());
 
     let response = client
-        .post("/query", &AnalysisRequest::TraceSummary.canonical(), &[])
+        .post(QUERY, &AnalysisRequest::TraceSummary.canonical(), &[])
         .expect("panicking query still answers");
     assert_eq!(response.status, 500);
     assert!(
@@ -217,7 +220,7 @@ fn panicking_handler_answers_500_and_releases_the_inflight_gauge() {
         "in-flight gauge decremented despite the panic"
     );
     // The worker survived; the server keeps serving.
-    let health = client.get("/healthz").expect("alive after panic");
+    let health = client.get("/v1/healthz").expect("alive after panic");
     assert_eq!(health.status, 200);
 
     handle.shutdown();
@@ -247,12 +250,12 @@ fn access_log_writes_exactly_one_line_per_request() {
         system: hpcfail_types::prelude::SystemId::new(2),
     };
     let ok = client
-        .post("/query", &request.canonical(), &[])
+        .post(QUERY, &request.canonical(), &[])
         .expect("query");
     assert_eq!(ok.status, 200);
     expected_lines += 1;
     // A malformed body: parses as HTTP, fails as JSON -> 400, logged.
-    let bad = client.post("/query", "{nope", &[]).expect("bad body");
+    let bad = client.post(QUERY, "{nope", &[]).expect("bad body");
     assert_eq!(bad.status, 400);
     expected_lines += 1;
     // Raw protocol garbage: not even HTTP -> one http-error line.
@@ -348,7 +351,7 @@ fn tight_slo_budget_degrades_healthz() {
     .expect("bind");
     let client = Client::new(handle.addr().to_string());
 
-    let health = client.get("/healthz").expect("healthz");
+    let health = client.get("/v1/healthz").expect("healthz");
     assert_eq!(health.status, 200);
     let body = hpcfail_obs::json::parse(&health.body).expect("json");
     assert!(body.get("fingerprint").is_some(), "fingerprint kept");
@@ -360,11 +363,11 @@ fn tight_slo_budget_degrades_healthz() {
         exclude_node0: false,
     };
     let response = client
-        .post("/query", &request.canonical(), &[])
+        .post(QUERY, &request.canonical(), &[])
         .expect("panicking query");
     assert_eq!(response.status, 500);
 
-    let health = client.get("/healthz").expect("healthz after errors");
+    let health = client.get("/v1/healthz").expect("healthz after errors");
     let body = hpcfail_obs::json::parse(&health.body).expect("json");
     assert_eq!(
         body.get("status").and_then(Json::as_str),
@@ -401,7 +404,7 @@ fn top_renders_per_kind_rows_from_a_live_server() {
     .canonical();
     for _ in 0..3 {
         assert_eq!(
-            client.post("/query", &request, &[]).expect("query").status,
+            client.post(QUERY, &request, &[]).expect("query").status,
             200
         );
     }

@@ -1,15 +1,16 @@
 //! The versioned, trace-scoped serving API end to end: uploads through
 //! the ingest machinery, multi-tenant byte-identity, epoch hot-swap
 //! under concurrent load, cache isolation across re-uploads, typed
-//! eviction, and the legacy surface's deprecation marking.
+//! eviction, and typed 404s for the retired unversioned paths.
 
 use hpcfail_core::engine::{AnalysisRequest, Engine};
 use hpcfail_serve::client::Client;
 use hpcfail_serve::registry::{TraceRegistry, TraceSource};
-use hpcfail_serve::server::{spawn, spawn_with_registry, ServerConfig};
+use hpcfail_serve::server::{spawn_with_registry, ServerConfig};
 use hpcfail_store::snapshot::snapshot_bytes;
-use hpcfail_store::trace::Trace;
+use hpcfail_store::trace::{SystemTraceBuilder, Trace};
 use hpcfail_synth::FleetSpec;
+use hpcfail_types::ids::NodeId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,10 +102,6 @@ fn three_named_traces_serve_with_byte_identity() {
                 .expect("query");
             assert_eq!(served.status, 200, "{name}: {}", served.body);
             assert_eq!(served.body, expected, "byte identity for {name}/{kind}");
-            assert!(
-                served.header("x-api-deprecated").is_none(),
-                "v1 responses carry no deprecation marker"
-            );
         }
     }
 
@@ -182,6 +179,93 @@ fn reupload_never_serves_stale_cache() {
     handle.shutdown();
 }
 
+/// `trace` with every job moved to the next node: failures,
+/// temperatures, maintenance, layout and neutron samples untouched.
+fn with_jobs_shifted(trace: &Trace) -> Trace {
+    let mut shifted = Trace::new();
+    for system in trace.systems() {
+        let nodes = system.config().nodes;
+        let mut b = SystemTraceBuilder::new(system.config().clone());
+        for f in system.failures() {
+            b.push_failure(f);
+        }
+        for j in system.jobs() {
+            let mut job = j.clone();
+            for n in &mut job.nodes {
+                *n = NodeId::new((n.raw() + 1) % nodes);
+            }
+            b.push_job(job);
+        }
+        for t in system.temperatures() {
+            b.push_temperature(*t);
+        }
+        for m in system.maintenance() {
+            b.push_maintenance(m);
+        }
+        if let Some(layout) = system.layout() {
+            b.layout(layout.clone());
+        }
+        shifted.insert_system(b.build());
+    }
+    shifted.set_neutron_samples(trace.neutron_samples().to_vec());
+    shifted
+}
+
+/// Regression: the result-cache key is the trace content fingerprint,
+/// which covers job node lists. A re-upload that differs from its
+/// predecessor only in where jobs ran must miss the cache and answer
+/// the new trace's bytes for the job-log analyses.
+#[test]
+fn reupload_with_moved_jobs_misses_the_cache() {
+    let handle = spawn_with_registry(TraceRegistry::new(0), ServerConfig::default()).expect("bind");
+    let client = Client::new(handle.addr().to_string());
+    let original = FleetSpec::demo().generate(42).into_store();
+    let moved = with_jobs_shifted(&original);
+    let system = original
+        .systems()
+        .find(|s| !s.jobs().is_empty())
+        .expect("the demo fleet has a job log")
+        .id()
+        .raw();
+    let bodies = [
+        format!(r#"{{"analysis": "heaviest-users", "system": {system}, "k": 10}}"#),
+        format!(r#"{{"analysis": "usage-correlations", "system": {system}}}"#),
+    ];
+
+    let up = client
+        .post_bytes("/v1/traces/t", &snapshot_bytes(&original), &[])
+        .expect("upload A");
+    assert_eq!(up.status, 200, "{}", up.body);
+    let mut before = Vec::new();
+    for body in &bodies {
+        let reply = client
+            .post("/v1/traces/t/query", body, &[])
+            .expect("query A");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        before.push(reply.body);
+    }
+
+    let up = client
+        .post_bytes("/v1/traces/t", &snapshot_bytes(&moved), &[])
+        .expect("upload A'");
+    assert_eq!(up.status, 200, "{}", up.body);
+    for (body, old) in bodies.iter().zip(&before) {
+        let reply = client
+            .post("/v1/traces/t/query", body, &[])
+            .expect("query A'");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(
+            reply.header("x-cache"),
+            Some("miss"),
+            "moved jobs change the cache key: {body}"
+        );
+        let expected = direct_body(moved.clone(), body);
+        assert_ne!(&expected, old, "moving jobs changes the answer: {body}");
+        assert_eq!(reply.body, expected, "{body}");
+    }
+    handle.shutdown();
+}
+
 /// Eviction is typed end to end: DELETE answers with the evicted
 /// summary, a second DELETE and any later query answer a typed 404,
 /// and the registry gauge drops.
@@ -228,54 +312,6 @@ fn evicted_traces_answer_typed_404() {
     handle.shutdown();
 }
 
-/// Legacy endpoints keep answering against the `default` trace with
-/// `x-api-deprecated: true` on every response and a `deprecation`
-/// field in extensible control bodies — while analysis bodies stay
-/// byte-identical to their `/v1` equivalents.
-#[test]
-fn legacy_surface_is_marked_deprecated_v1_is_not() {
-    let engine = Engine::new(small_trace(5));
-    let handle = spawn(engine, ServerConfig::default()).expect("bind");
-    let client = Client::new(handle.addr().to_string());
-    let body = r#"{"analysis": "env-breakdown"}"#;
-
-    let legacy = client.post("/query", body, &[]).expect("legacy query");
-    let v1 = client
-        .post("/v1/traces/default/query", body, &[])
-        .expect("v1 query");
-    assert_eq!(legacy.status, 200);
-    assert_eq!(legacy.header("x-api-deprecated"), Some("true"));
-    assert!(v1.header("x-api-deprecated").is_none());
-    assert_eq!(
-        legacy.body, v1.body,
-        "legacy and v1 answer identical bytes for the default trace"
-    );
-    assert!(
-        !legacy.body.contains("deprecation"),
-        "analysis bodies are contractual — no injected fields"
-    );
-
-    for path in ["/healthz", "/requests"] {
-        let response = client.get(path).expect(path);
-        assert_eq!(response.header("x-api-deprecated"), Some("true"), "{path}");
-        assert!(
-            response.body.contains("\"deprecation\": true"),
-            "{path}: {}",
-            response.body
-        );
-        let versioned = client.get(&format!("/v1{path}")).expect(path);
-        assert!(versioned.header("x-api-deprecated").is_none(), "{path}");
-        assert!(
-            !versioned.body.contains("\"deprecation\""),
-            "/v1{path}: {}",
-            versioned.body
-        );
-    }
-    let metrics = client.get("/metrics").expect("legacy metrics");
-    assert_eq!(metrics.header("x-api-deprecated"), Some("true"));
-    handle.shutdown();
-}
-
 /// Unknown paths and wrong methods answer typed 404/405 (the 405 with
 /// an `allow` header), matching the central route table.
 #[test]
@@ -283,9 +319,24 @@ fn unmatched_routes_answer_typed_404_and_405() {
     let handle = spawn_with_registry(TraceRegistry::new(0), ServerConfig::default()).expect("bind");
     let client = Client::new(handle.addr().to_string());
 
-    let missing = client.get("/v2/healthz").expect("404");
-    assert_eq!(missing.status, 404);
-    assert!(missing.body.contains("unknown path"), "{}", missing.body);
+    for path in ["/v2/healthz", "/healthz", "/metrics", "/requests"] {
+        let missing = client.get(path).expect("404");
+        assert_eq!(missing.status, 404, "{path}");
+        assert!(
+            missing.body.contains("unknown path"),
+            "{path}: {}",
+            missing.body
+        );
+    }
+    for path in ["/query", "/batch", "/shutdown"] {
+        let missing = client.post(path, "", &[]).expect("404");
+        assert_eq!(missing.status, 404, "{path}");
+        assert!(
+            missing.body.contains("\"error\""),
+            "typed: {}",
+            missing.body
+        );
+    }
 
     let wrong = client.post("/v1/healthz", "", &[]).expect("405");
     assert_eq!(wrong.status, 405, "{}", wrong.body);

@@ -16,6 +16,9 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+/// Query path of the boot trace.
+const QUERY: &str = "/v1/traces/default/query";
+
 fn engine() -> Engine {
     Engine::new(hpcfail_synth::FleetSpec::demo().generate(42).into_store())
 }
@@ -72,7 +75,7 @@ fn slow_loris_gets_one_typed_408_and_one_log_line() {
 
     // The server is still healthy for well-formed traffic.
     let client = Client::new(handle.addr().to_string());
-    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    assert_eq!(client.get("/v1/healthz").expect("healthz").status, 200);
     handle.shutdown();
 
     let log = std::fs::read_to_string(&log_path).expect("access log");
@@ -129,14 +132,14 @@ fn overload_sheds_typed_429_with_retry_hints() {
         let addr = addr.clone();
         move || {
             Client::new(addr)
-                .post("/query", r#"{"analysis": "trace-summary"}"#, &[])
+                .post(QUERY, r#"{"analysis": "trace-summary"}"#, &[])
                 .expect("stalled query")
         }
     });
     // Let the stalled query claim the slot, then overload.
     std::thread::sleep(Duration::from_millis(200));
     let shed = Client::new(addr.clone())
-        .post("/query", r#"{"analysis": "env-breakdown"}"#, &[])
+        .post(QUERY, r#"{"analysis": "env-breakdown"}"#, &[])
         .expect("shed round trip");
     assert_eq!(shed.status, 429, "body: {}", shed.body);
     assert_eq!(shed.header("x-shed"), Some("queue_full"));
@@ -145,7 +148,7 @@ fn overload_sheds_typed_429_with_retry_hints() {
     assert!(shed.body.contains("\"error\""), "typed body: {}", shed.body);
 
     // /healthz never passes the gate and reports the shed breakdown.
-    let health = Client::new(addr).get("/healthz").expect("healthz");
+    let health = Client::new(addr).get("/v1/healthz").expect("healthz");
     assert_eq!(health.status, 200);
     assert!(
         health.body.contains("\"queue_full\": 1"),
@@ -199,7 +202,7 @@ fn retrying_client_recovers_through_a_shed_storm() {
             ..RetryPolicy::default()
         },
     );
-    let outcome = client.post_detailed("/query", r#"{"analysis": "trace-summary"}"#, &[]);
+    let outcome = client.post_detailed(QUERY, r#"{"analysis": "trace-summary"}"#, &[]);
     let response = outcome.result.expect("recovered answer");
     assert_eq!(response.status, 200, "body: {}", response.body);
     assert_eq!(outcome.attempts, 3, "two chaos sheds, then success");
@@ -247,7 +250,7 @@ fn shutdown_under_load_drains_admitted_and_sheds_queued() {
         let addr = addr.clone();
         move || {
             Client::new(addr)
-                .post("/query", r#"{"analysis": "trace-summary"}"#, &[])
+                .post(QUERY, r#"{"analysis": "trace-summary"}"#, &[])
                 .expect("admitted query")
         }
     });
@@ -259,7 +262,7 @@ fn shutdown_under_load_drains_admitted_and_sheds_queued() {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 Client::new(addr)
-                    .post("/query", r#"{"analysis": "env-breakdown"}"#, &[])
+                    .post(QUERY, r#"{"analysis": "env-breakdown"}"#, &[])
                     .expect("queued query")
             })
         })
@@ -271,7 +274,9 @@ fn shutdown_under_load_drains_admitted_and_sheds_queued() {
     assert_eq!(handle.admission().queued(), 2, "both waiters queued");
 
     // Shut down mid-storm via the endpoint.
-    let bye = Client::new(addr).post("/shutdown", "", &[]).expect("ack");
+    let bye = Client::new(addr)
+        .post("/v1/shutdown", "", &[])
+        .expect("ack");
     assert_eq!(bye.status, 200);
 
     for join in queued {
@@ -429,7 +434,7 @@ fn followers_of_a_panicking_leader_answer_500_at_once() {
                     let started = Instant::now();
                     let deadline = DEADLINE_MS.to_string();
                     let response = client
-                        .post("/query", &body, &[("x-deadline-ms", &deadline)])
+                        .post(QUERY, &body, &[("x-deadline-ms", &deadline)])
                         .expect("round trip");
                     (response, started.elapsed())
                 })

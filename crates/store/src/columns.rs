@@ -1,30 +1,27 @@
 //! Struct-of-arrays columnar storage for failure and maintenance events.
 //!
-//! The row-struct view (`Vec<FailureRecord>`) is convenient for analyses
-//! that want whole records, but the hot query kernels — per-node day
-//! vectors, window membership tests, baseline estimation — only touch one
-//! or two fields per event. This module stores each field in its own
-//! timestamp-sorted array so those kernels scan contiguous primitive
-//! columns instead of 48-byte row structs:
+//! These columns are the only stored form of the two event streams.
+//! The hot query kernels — per-node day vectors, window membership
+//! tests, baseline estimation — touch one or two fields per event, so
+//! each field lives in its own timestamp-sorted array and kernels scan
+//! contiguous primitive columns instead of row structs:
 //!
-//! - `times` / `nodes` / `roots` / `subs` / `downtimes` — the record
-//!   fields, one array per field, all sorted by `(time, node)` in exactly
-//!   the order [`crate::trace::SystemTraceBuilder::build`] established for
-//!   rows (so materialized rows are byte-identical to the pre-columnar
-//!   layout);
+//! - `times` / `nodes` / `roots` / `subs` / `downtimes` — the failure
+//!   record fields, one array per field, all sorted by `(time, node)` in
+//!   the order [`crate::trace::SystemTraceBuilder::build`] establishes;
 //! - `days` — the precomputed day index of each event relative to the
 //!   system's observation start, so day-vector extraction is a gather
 //!   instead of a per-event `div_euclid`;
 //! - a CSR (compressed-sparse-row) postings index `node_ptr`/`node_post`
-//!   mapping each node to its events in time order, replacing the
-//!   pointer-chasing `Vec<Vec<u32>>` layout;
+//!   mapping each node to its events in time order;
 //! - `node_class_mask` — one bitmask per node recording which root-cause
 //!   categories appear on that node at all, so class-restricted scans can
 //!   skip nodes without touching their postings.
 //!
 //! Root and sub-causes are stored as compact integer codes
 //! ([`root_code`], [`sub_code`]); class matching happens on the codes via
-//! [`ClassCode`], never on materialized enums.
+//! [`ClassCode`], never on decoded enums. [`FailureColumns::record`] and
+//! [`MaintenanceColumns::record`] decode one row for cold callers.
 
 use hpcfail_types::prelude::*;
 use hpcfail_types::time::SECONDS_PER_DAY;
@@ -199,6 +196,37 @@ impl fmt::Display for ColumnError {
 
 impl std::error::Error for ColumnError {}
 
+/// Day index of each time relative to the observation `start`.
+fn day_column(times: &[i64], start: Timestamp) -> Vec<i64> {
+    let start_secs = start.as_seconds();
+    times
+        .iter()
+        .map(|t| (t - start_secs).div_euclid(SECONDS_PER_DAY))
+        .collect()
+}
+
+/// CSR postings (`node_ptr`, `node_post`) mapping each node to its event
+/// indices in order, built by counting sort. Every node must be below
+/// `node_count`.
+fn node_postings_index(nodes: &[u32], node_count: u32) -> (Vec<u32>, Vec<u32>) {
+    let n = node_count as usize;
+    let mut counts = vec![0u32; n + 1];
+    for &node in nodes {
+        counts[node as usize + 1] += 1;
+    }
+    for i in 0..n {
+        counts[i + 1] += counts[i];
+    }
+    let mut post = vec![0u32; nodes.len()];
+    let mut cursor = counts.clone();
+    for (i, &node) in nodes.iter().enumerate() {
+        let slot = &mut cursor[node as usize];
+        post[*slot as usize] = i as u32;
+        *slot += 1;
+    }
+    (counts, post)
+}
+
 /// Timestamp-sorted struct-of-arrays storage for one system's failures.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailureColumns {
@@ -227,31 +255,18 @@ impl FailureColumns {
                 .all(|w| (w[0].time, w[0].node) <= (w[1].time, w[1].node)),
             "records must be sorted by (time, node)"
         );
-        let start_secs = start.as_seconds();
-        let mut cols = FailureColumns {
-            times: Vec::with_capacity(records.len()),
-            nodes: Vec::with_capacity(records.len()),
-            roots: Vec::with_capacity(records.len()),
-            subs: Vec::with_capacity(records.len()),
-            downtimes: Vec::with_capacity(records.len()),
-            days: Vec::with_capacity(records.len()),
-            node_ptr: Vec::new(),
-            node_post: Vec::new(),
-            node_class_mask: Vec::new(),
-        };
-        for r in records {
-            debug_assert!(r.node.index() < node_count as usize);
-            cols.times.push(r.time.as_seconds());
-            cols.nodes.push(r.node.raw());
-            cols.roots.push(root_code(r.root_cause));
-            cols.subs.push(sub_code(r.sub_cause));
-            cols.downtimes
-                .push(r.downtime.map_or(NO_DOWNTIME, |d| d.as_seconds()));
-            cols.days
-                .push((r.time.as_seconds() - start_secs).div_euclid(SECONDS_PER_DAY));
-        }
-        cols.build_postings(node_count);
-        cols
+        FailureColumns::assemble(
+            records.iter().map(|r| r.time.as_seconds()).collect(),
+            records.iter().map(|r| r.node.raw()).collect(),
+            records.iter().map(|r| root_code(r.root_cause)).collect(),
+            records.iter().map(|r| sub_code(r.sub_cause)).collect(),
+            records
+                .iter()
+                .map(|r| r.downtime.map_or(NO_DOWNTIME, |d| d.as_seconds()))
+                .collect(),
+            node_count,
+            start,
+        )
     }
 
     /// Reassembles columns from raw arrays (the snapshot load path),
@@ -324,49 +339,38 @@ impl FailureColumns {
         {
             return Err(ColumnError("rows not sorted by (time, node)".into()));
         }
-        let start_secs = start.as_seconds();
-        let days = times
-            .iter()
-            .map(|t| (t - start_secs).div_euclid(SECONDS_PER_DAY))
-            .collect();
-        let mut cols = FailureColumns {
+        Ok(FailureColumns::assemble(
+            times, nodes, roots, subs, downtimes, node_count, start,
+        ))
+    }
+
+    /// Derives the day column, postings index and class masks from the
+    /// primary columns.
+    fn assemble(
+        times: Vec<i64>,
+        nodes: Vec<u32>,
+        roots: Vec<u8>,
+        subs: Vec<u16>,
+        downtimes: Vec<i64>,
+        node_count: u32,
+        start: Timestamp,
+    ) -> Self {
+        let (node_ptr, node_post) = node_postings_index(&nodes, node_count);
+        let mut node_class_mask = vec![0u8; node_count as usize];
+        for (&node, &root) in nodes.iter().zip(&roots) {
+            node_class_mask[node as usize] |= 1 << root;
+        }
+        FailureColumns {
+            days: day_column(&times, start),
             times,
             nodes,
             roots,
             subs,
             downtimes,
-            days,
-            node_ptr: Vec::new(),
-            node_post: Vec::new(),
-            node_class_mask: Vec::new(),
-        };
-        cols.build_postings(node_count);
-        Ok(cols)
-    }
-
-    fn build_postings(&mut self, node_count: u32) {
-        let n = node_count as usize;
-        let mut counts = vec![0u32; n + 1];
-        for &node in &self.nodes {
-            counts[node as usize + 1] += 1;
+            node_ptr,
+            node_post,
+            node_class_mask,
         }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let mut post = vec![0u32; self.nodes.len()];
-        let mut cursor = counts.clone();
-        for (i, &node) in self.nodes.iter().enumerate() {
-            let slot = &mut cursor[node as usize];
-            post[*slot as usize] = i as u32;
-            *slot += 1;
-        }
-        let mut mask = vec![0u8; n];
-        for (&node, &root) in self.nodes.iter().zip(&self.roots) {
-            mask[node as usize] |= 1 << root;
-        }
-        self.node_ptr = counts;
-        self.node_post = post;
-        self.node_class_mask = mask;
     }
 
     /// Heap bytes held by the column arrays (primary storage plus the
@@ -522,7 +526,7 @@ impl FailureColumns {
         postings[from..]
             .iter()
             .take_while(|&&i| self.times[i as usize] <= until)
-            .filter(|&&i| code.matches(self.roots[i as usize], self.subs[i as usize]))
+            .filter(|&&i| self.row_matches(i as usize, code))
             .count()
     }
 
@@ -537,38 +541,69 @@ impl FailureColumns {
         postings[from..]
             .iter()
             .take_while(|&&i| self.times[i as usize] <= until)
-            .any(|&i| code.matches(self.roots[i as usize], self.subs[i as usize]))
+            .any(|&i| self.row_matches(i as usize, code))
     }
 
-    /// Materializes row `i` as a [`FailureRecord`] owned by `system`.
+    /// Time of event `i`.
+    #[inline]
+    pub fn time(&self, i: usize) -> Timestamp {
+        Timestamp::from_seconds(self.times[i])
+    }
+
+    /// Node of event `i`.
+    #[inline]
+    pub fn node(&self, i: usize) -> NodeId {
+        NodeId::new(self.nodes[i])
+    }
+
+    /// Root cause of event `i`.
+    #[inline]
+    pub fn root(&self, i: usize) -> RootCause {
+        root_from_code(self.roots[i]).expect("validated root code")
+    }
+
+    /// `true` when event `i` belongs to the class `code`.
+    #[inline]
+    pub fn row_matches(&self, i: usize, code: ClassCode) -> bool {
+        code.matches(self.roots[i], self.subs[i])
+    }
+
+    /// Indices of the events matching `code`, in `(time, node)` order.
+    pub fn rows_matching(&self, code: ClassCode) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(move |&i| self.row_matches(i, code))
+    }
+
+    /// Number of events on `node` matching `code`.
+    pub fn node_count_matching(&self, node: NodeId, code: ClassCode) -> usize {
+        if !self.node_may_match(node, code) {
+            return 0;
+        }
+        self.node_postings(node)
+            .iter()
+            .filter(|&&i| self.row_matches(i as usize, code))
+            .count()
+    }
+
+    /// Decodes row `i` as a [`FailureRecord`] owned by `system`.
     pub fn record(&self, i: usize, system: SystemId) -> FailureRecord {
-        let root = root_from_code(self.roots[i]).expect("validated root code");
         let sub = sub_from_code(self.subs[i]).expect("validated sub code");
-        let mut r = FailureRecord::new(
-            system,
-            NodeId::new(self.nodes[i]),
-            Timestamp::from_seconds(self.times[i]),
-            root,
-            sub,
-        );
+        let mut r = FailureRecord::new(system, self.node(i), self.time(i), self.root(i), sub);
         if self.downtimes[i] != NO_DOWNTIME {
             r = r.with_downtime(Duration::from_seconds(self.downtimes[i]));
         }
         r
     }
-
-    /// Materializes the full row view, in column (time, node) order.
-    pub fn materialize(&self, system: SystemId) -> Vec<FailureRecord> {
-        (0..self.len()).map(|i| self.record(i, system)).collect()
-    }
 }
 
-/// Columnar view of one system's maintenance events: times, CSR node
-/// postings, and a precomputed unscheduled-hardware day column.
+/// Timestamp-sorted struct-of-arrays storage for one system's
+/// maintenance events, with CSR node postings and a precomputed day
+/// column.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MaintenanceColumns {
     times: Vec<i64>,
-    unsched_hw: Vec<bool>,
+    nodes: Vec<u32>,
+    hardware: Vec<bool>,
+    scheduled: Vec<bool>,
     days: Vec<i64>,
     node_ptr: Vec<u32>,
     node_post: Vec<u32>,
@@ -576,46 +611,104 @@ pub struct MaintenanceColumns {
 
 impl MaintenanceColumns {
     /// Builds columns from records already sorted by `(time, node)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the records are unsorted or a node is out of range —
+    /// the trace builder rules out both.
     pub fn from_records(records: &[MaintenanceRecord], node_count: u32, start: Timestamp) -> Self {
-        let start_secs = start.as_seconds();
-        let n = node_count as usize;
-        let mut counts = vec![0u32; n + 1];
-        for r in records {
-            debug_assert!(r.node.index() < n);
-            counts[r.node.index() + 1] += 1;
+        MaintenanceColumns::from_raw_parts(
+            records.iter().map(|r| r.time.as_seconds()).collect(),
+            records.iter().map(|r| r.node.raw()).collect(),
+            records.iter().map(|r| r.hardware_related).collect(),
+            records.iter().map(|r| r.scheduled).collect(),
+            node_count,
+            start,
+        )
+        .expect("builder maintenance is sorted and in range")
+    }
+
+    /// Reassembles columns from raw arrays (the snapshot load path),
+    /// validating lengths, node ranges and `(time, node)` order, then
+    /// building the day column and postings index.
+    ///
+    /// # Errors
+    ///
+    /// [`ColumnError`] when array lengths disagree, a node index is out
+    /// of range, or the arrays are not `(time, node)`-sorted.
+    pub fn from_raw_parts(
+        times: Vec<i64>,
+        nodes: Vec<u32>,
+        hardware: Vec<bool>,
+        scheduled: Vec<bool>,
+        node_count: u32,
+        start: Timestamp,
+    ) -> Result<Self, ColumnError> {
+        let len = times.len();
+        if nodes.len() != len || hardware.len() != len || scheduled.len() != len {
+            return Err(ColumnError(format!(
+                "maintenance column length mismatch: times {len}, nodes {}, hardware {}, scheduled {}",
+                nodes.len(),
+                hardware.len(),
+                scheduled.len()
+            )));
         }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
+        if let Some(i) = nodes.iter().position(|&n| n >= node_count) {
+            return Err(ColumnError(format!(
+                "maintenance node {} out of range (system has {node_count} nodes) at row {i}",
+                nodes[i]
+            )));
         }
-        let mut post = vec![0u32; records.len()];
-        let mut cursor = counts.clone();
-        for (i, r) in records.iter().enumerate() {
-            let slot = &mut cursor[r.node.index()];
-            post[*slot as usize] = i as u32;
-            *slot += 1;
+        if (1..len).any(|i| (times[i - 1], nodes[i - 1]) > (times[i], nodes[i])) {
+            return Err(ColumnError("maintenance not sorted by (time, node)".into()));
         }
-        MaintenanceColumns {
-            times: records.iter().map(|r| r.time.as_seconds()).collect(),
-            unsched_hw: records
-                .iter()
-                .map(|r| r.is_unscheduled_hardware())
-                .collect(),
-            days: records
-                .iter()
-                .map(|r| (r.time.as_seconds() - start_secs).div_euclid(SECONDS_PER_DAY))
-                .collect(),
-            node_ptr: counts,
-            node_post: post,
-        }
+        let (node_ptr, node_post) = node_postings_index(&nodes, node_count);
+        Ok(MaintenanceColumns {
+            days: day_column(&times, start),
+            times,
+            nodes,
+            hardware,
+            scheduled,
+            node_ptr,
+            node_post,
+        })
     }
 
     /// Heap bytes held by the maintenance column arrays.
     pub fn resident_bytes(&self) -> u64 {
         (std::mem::size_of_val(self.times.as_slice())
-            + std::mem::size_of_val(self.unsched_hw.as_slice())
+            + std::mem::size_of_val(self.nodes.as_slice())
+            + std::mem::size_of_val(self.hardware.as_slice())
+            + std::mem::size_of_val(self.scheduled.as_slice())
             + std::mem::size_of_val(self.days.as_slice())
             + std::mem::size_of_val(self.node_ptr.as_slice())
             + std::mem::size_of_val(self.node_post.as_slice())) as u64
+    }
+
+    /// Number of maintenance events.
+    pub fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    /// `true` when there are no events.
+    pub fn is_empty(&self) -> bool {
+        self.times.is_empty()
+    }
+
+    #[inline]
+    fn unsched_hw(&self, i: u32) -> bool {
+        self.hardware[i as usize] && !self.scheduled[i as usize]
+    }
+
+    /// Decodes row `i` as a [`MaintenanceRecord`] owned by `system`.
+    pub fn record(&self, i: usize, system: SystemId) -> MaintenanceRecord {
+        MaintenanceRecord {
+            system,
+            node: NodeId::new(self.nodes[i]),
+            time: Timestamp::from_seconds(self.times[i]),
+            hardware_related: self.hardware[i],
+            scheduled: self.scheduled[i],
+        }
     }
 
     /// Event indices for `node`, in time order.
@@ -636,7 +729,7 @@ impl MaintenanceColumns {
         out.extend(
             postings
                 .iter()
-                .filter(|&&i| self.unsched_hw[i as usize])
+                .filter(|&&i| self.unsched_hw(i))
                 .map(|&i| self.days[i as usize]),
         );
         (postings.len(), out.len() - before)
@@ -650,7 +743,7 @@ impl MaintenanceColumns {
         postings[from..]
             .iter()
             .take_while(|&&i| self.times[i as usize] <= until)
-            .any(|&i| self.unsched_hw[i as usize])
+            .any(|&i| self.unsched_hw(i))
     }
 }
 
@@ -763,11 +856,13 @@ mod tests {
     }
 
     #[test]
-    fn from_records_materializes_identically() {
+    fn from_records_decodes_identically() {
         let records = sample_records();
         let cols = FailureColumns::from_records(&records, 5, Timestamp::EPOCH);
         assert_eq!(cols.len(), records.len());
-        assert_eq!(cols.materialize(SystemId::new(7)), records);
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(cols.record(i, SystemId::new(7)), *r);
+        }
         assert_eq!(cols.days(), &[0, 1, 1, 2]);
     }
 
@@ -931,5 +1026,23 @@ mod tests {
         assert!(!cols.any_unsched_hw_in_window(NodeId::new(1), 1_000, 100_000));
         assert!(!cols.any_unsched_hw_in_window(NodeId::new(2), 0, 10_000));
         assert!(cols.any_unsched_hw_in_window(NodeId::new(1), 100_000, 300_000));
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(cols.record(i, sys), *r);
+        }
+
+        let raw = |times: Vec<i64>, nodes: Vec<u32>| {
+            let n = times.len();
+            MaintenanceColumns::from_raw_parts(
+                times,
+                nodes,
+                vec![true; n],
+                vec![false; n],
+                4,
+                Timestamp::EPOCH,
+            )
+        };
+        assert!(raw(vec![0], vec![4]).is_err(), "node out of range");
+        assert!(raw(vec![5, 1], vec![0, 0]).is_err(), "unsorted");
+        assert!(raw(vec![0, 0], vec![0]).is_err(), "length mismatch");
     }
 }

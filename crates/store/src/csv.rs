@@ -19,9 +19,10 @@
 
 use crate::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Expected header lines, shared by writers and readers. A reader
@@ -195,9 +196,15 @@ fn parse_sub_cause(raw: &str, line: usize) -> Result<SubCause, CsvError> {
 /// # Errors
 ///
 /// Any I/O failure from the writer.
-pub fn write_failures<W: Write>(mut w: W, records: &[FailureRecord]) -> Result<(), CsvError> {
+pub fn write_failures<W, I>(mut w: W, records: I) -> Result<(), CsvError>
+where
+    W: Write,
+    I: IntoIterator,
+    I::Item: Borrow<FailureRecord>,
+{
     writeln!(w, "{}", headers::FAILURES)?;
     for r in records {
+        let r = r.borrow();
         writeln!(
             w,
             "{},{},{},{},{},{}",
@@ -293,9 +300,15 @@ pub fn read_failures<R: Read>(r: R) -> Result<Vec<FailureRecord>, CsvError> {
 /// # Errors
 ///
 /// Any I/O failure from the writer.
-pub fn write_jobs<W: Write>(mut w: W, records: &[JobRecord]) -> Result<(), CsvError> {
+pub fn write_jobs<W, I>(mut w: W, records: I) -> Result<(), CsvError>
+where
+    W: Write,
+    I: IntoIterator,
+    I::Item: Borrow<JobRecord>,
+{
     writeln!(w, "{}", headers::JOBS)?;
     for j in records {
+        let j = j.borrow();
         let nodes: Vec<String> = j.nodes.iter().map(|n| n.raw().to_string()).collect();
         writeln!(
             w,
@@ -367,12 +380,15 @@ pub(crate) fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, Csv
 /// # Errors
 ///
 /// Any I/O failure from the writer.
-pub fn write_temperatures<W: Write>(
-    mut w: W,
-    samples: &[TemperatureSample],
-) -> Result<(), CsvError> {
+pub fn write_temperatures<W, I>(mut w: W, samples: I) -> Result<(), CsvError>
+where
+    W: Write,
+    I: IntoIterator,
+    I::Item: Borrow<TemperatureSample>,
+{
     writeln!(w, "{}", headers::TEMPERATURES)?;
     for s in samples {
+        let s = s.borrow();
         writeln!(
             w,
             "{},{},{},{}",
@@ -422,12 +438,15 @@ pub(crate) fn parse_temperature_line(
 /// # Errors
 ///
 /// Any I/O failure from the writer.
-pub fn write_maintenance<W: Write>(
-    mut w: W,
-    records: &[MaintenanceRecord],
-) -> Result<(), CsvError> {
+pub fn write_maintenance<W, I>(mut w: W, records: I) -> Result<(), CsvError>
+where
+    W: Write,
+    I: IntoIterator,
+    I::Item: Borrow<MaintenanceRecord>,
+{
     writeln!(w, "{}", headers::MAINTENANCE)?;
     for m in records {
+        let m = m.borrow();
         writeln!(
             w,
             "{},{},{},{},{}",
@@ -670,7 +689,9 @@ pub(crate) fn parse_system_line(line: &str, lineno: usize) -> Result<SystemConfi
     })
 }
 
-/// Saves a full trace as a directory of CSV files.
+/// Saves a full trace as a directory of CSV files. Every record file
+/// has one header line followed by the rows of all systems in id
+/// order; `layout.csv` repeats its header per system with a layout.
 ///
 /// # Errors
 ///
@@ -679,81 +700,42 @@ pub fn save_trace<P: AsRef<Path>>(dir: P, trace: &Trace) -> Result<(), CsvError>
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     let configs: Vec<SystemConfig> = trace.systems().map(|s| s.config().clone()).collect();
-    write_system_configs(std::fs::File::create(dir.join("systems.csv"))?, &configs)?;
-
-    let mut failures = std::fs::File::create(dir.join("failures.csv"))?;
-    let mut jobs = std::fs::File::create(dir.join("jobs.csv"))?;
-    let mut temps = std::fs::File::create(dir.join("temperatures.csv"))?;
-    let mut maint = std::fs::File::create(dir.join("maintenance.csv"))?;
-    let mut layout = std::fs::File::create(dir.join("layout.csv"))?;
-    let mut wrote_header = (false, false, false, false, false);
-    for s in trace.systems() {
-        if !wrote_header.0 {
-            write_failures(&mut failures, s.failures())?;
-            wrote_header.0 = true;
-        } else {
-            append_failures(&mut failures, s.failures())?;
+    save_file(dir, "systems.csv", |w| write_system_configs(w, &configs))?;
+    save_file(dir, "failures.csv", |w| {
+        write_failures(w, trace.systems().flat_map(SystemTrace::failures))
+    })?;
+    save_file(dir, "jobs.csv", |w| {
+        write_jobs(w, trace.systems().flat_map(SystemTrace::jobs))
+    })?;
+    save_file(dir, "temperatures.csv", |w| {
+        write_temperatures(w, trace.systems().flat_map(SystemTrace::temperatures))
+    })?;
+    save_file(dir, "maintenance.csv", |w| {
+        write_maintenance(w, trace.systems().flat_map(SystemTrace::maintenance))
+    })?;
+    save_file(dir, "layout.csv", |w| {
+        for s in trace.systems() {
+            if let Some(l) = s.layout() {
+                write_layout(&mut *w, s.id(), l)?;
+            }
         }
-        if !wrote_header.1 {
-            write_jobs(&mut jobs, s.jobs())?;
-            wrote_header.1 = true;
-        } else {
-            append_jobs(&mut jobs, s.jobs())?;
-        }
-        if !wrote_header.2 {
-            write_temperatures(&mut temps, s.temperatures())?;
-            wrote_header.2 = true;
-        } else {
-            append_temperatures(&mut temps, s.temperatures())?;
-        }
-        if !wrote_header.3 {
-            write_maintenance(&mut maint, s.maintenance())?;
-            wrote_header.3 = true;
-        } else {
-            append_maintenance(&mut maint, s.maintenance())?;
-        }
-        if let Some(l) = s.layout() {
-            write_layout(&mut layout, s.id(), l)?;
-            wrote_header.4 = true;
-        }
-    }
-    write_neutron(
-        std::fs::File::create(dir.join("neutron.csv"))?,
-        trace.neutron_samples(),
-    )?;
-    Ok(())
+        Ok(())
+    })?;
+    save_file(dir, "neutron.csv", |w| {
+        write_neutron(w, trace.neutron_samples())
+    })
 }
 
-fn append_failures<W: Write>(w: W, records: &[FailureRecord]) -> Result<(), CsvError> {
-    let mut buf = Vec::new();
-    write_failures(&mut buf, records)?;
-    skip_header_and_copy(w, &buf)
-}
-
-fn append_jobs<W: Write>(w: W, records: &[JobRecord]) -> Result<(), CsvError> {
-    let mut buf = Vec::new();
-    write_jobs(&mut buf, records)?;
-    skip_header_and_copy(w, &buf)
-}
-
-fn append_temperatures<W: Write>(w: W, records: &[TemperatureSample]) -> Result<(), CsvError> {
-    let mut buf = Vec::new();
-    write_temperatures(&mut buf, records)?;
-    skip_header_and_copy(w, &buf)
-}
-
-fn append_maintenance<W: Write>(w: W, records: &[MaintenanceRecord]) -> Result<(), CsvError> {
-    let mut buf = Vec::new();
-    write_maintenance(&mut buf, records)?;
-    skip_header_and_copy(w, &buf)
-}
-
-fn skip_header_and_copy<W: Write>(mut w: W, buf: &[u8]) -> Result<(), CsvError> {
-    let body_start = buf
-        .iter()
-        .position(|&b| b == b'\n')
-        .map_or(buf.len(), |i| i + 1);
-    w.write_all(&buf[body_start..])?;
+/// Creates `dir/name`, fills it through a buffer and flushes it, so a
+/// failed final write is reported rather than dropped.
+fn save_file(
+    dir: &Path,
+    name: &str,
+    write: impl FnOnce(&mut BufWriter<std::fs::File>) -> Result<(), CsvError>,
+) -> Result<(), CsvError> {
+    let mut w = BufWriter::new(std::fs::File::create(dir.join(name))?);
+    write(&mut w)?;
+    w.flush()?;
     Ok(())
 }
 
@@ -770,19 +752,6 @@ fn skip_header_and_copy<W: Write>(mut w: W, buf: &[u8]) -> Result<(), CsvError> 
 /// rejected.
 pub fn load_trace<P: AsRef<Path>>(dir: P) -> Result<Trace, CsvError> {
     crate::ingest::load_trace_with(dir, crate::ingest::IngestPolicy::Strict).map(|(t, _)| t)
-}
-
-/// Convenience: one system's records round-tripped through buffers,
-/// used by tests and the quickstart example.
-pub fn system_to_csv_strings(system: &SystemTrace) -> (String, String) {
-    let mut failures = Vec::new();
-    write_failures(&mut failures, system.failures()).expect("in-memory write cannot fail");
-    let mut jobs = Vec::new();
-    write_jobs(&mut jobs, system.jobs()).expect("in-memory write cannot fail");
-    (
-        String::from_utf8(failures).expect("CSV output is UTF-8"),
-        String::from_utf8(jobs).expect("CSV output is UTF-8"),
-    )
 }
 
 #[cfg(test)]
@@ -1052,10 +1021,9 @@ mod tests {
 
         assert_eq!(loaded.len(), 1);
         let sys = loaded.system(SystemId::new(20)).unwrap();
-        assert_eq!(
-            sys.failures(),
-            trace.system(SystemId::new(20)).unwrap().failures()
-        );
+        assert!(sys
+            .failures()
+            .eq(trace.system(SystemId::new(20)).unwrap().failures()));
         assert_eq!(sys.layout().unwrap().len(), 1);
         assert_eq!(loaded.neutron_samples().len(), 1);
     }

@@ -2,17 +2,17 @@
 //!
 //! A snapshot is written once after ingest and loaded at boot with a
 //! single bulk read, skipping CSV parsing and per-record validation: the
-//! failure columns are stored exactly as the in-memory
-//! struct-of-arrays layout ([`crate::columns::FailureColumns`]), so a
-//! load is a decode pass plus the O(n) postings rebuild — no row
-//! structs, no sorting, no text.
+//! failure and maintenance columns are stored exactly as the in-memory
+//! struct-of-arrays layout ([`crate::columns`]), so a load is a decode
+//! pass plus the O(n) postings rebuild — no row structs, no sorting, no
+//! text.
 //!
 //! # File format (version 1)
 //!
 //! ```text
 //! magic      8 bytes  "HPCSNAP\0"
 //! version    u32 LE   1
-//! fingerprint u64 LE  content fingerprint of the whole trace
+//! fingerprint u64 LE  Trace::fingerprint of the whole trace
 //! sections   u32 LE   number of section-table entries
 //! table      sections × { id u32, offset u64, len u64, checksum u64 }
 //! ...section payloads at their recorded offsets...
@@ -25,7 +25,8 @@
 //! present — `LAYOUT` sections; one fleet-wide `NEUTRON` section closes
 //! the file. Every payload is integrity-checked by an FNV-1a checksum in
 //! the table, and the decoded trace must reproduce the header's content
-//! fingerprint.
+//! fingerprint ([`Trace::fingerprint`]); the check fills the decoded
+//! trace's memo, so a snapshot load hashes the content exactly once.
 //!
 //! # Fallback rules
 //!
@@ -36,8 +37,8 @@
 //! `store.snapshot.fallback` counter so callers can drop to CSV ingest
 //! while recording exactly why.
 
-use crate::columns::FailureColumns;
-use crate::trace::{SystemTrace, Trace};
+use crate::columns::{FailureColumns, MaintenanceColumns};
+use crate::trace::{Fnv, SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -147,12 +148,9 @@ pub enum SnapshotLoad {
 // Byte-level encoding (little-endian, fixed width)
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.0
 }
 
 #[derive(Default)]
@@ -261,100 +259,6 @@ impl<'a> Reader<'a> {
             )))
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Content fingerprint
-
-/// FNV-1a content fingerprint over everything a snapshot carries,
-/// computed from the columnar storage (no row materialization). The same
-/// trace content always produces the same fingerprint, whether it was
-/// ingested from CSV or decoded from a snapshot.
-pub fn content_fingerprint(trace: &Trace) -> u64 {
-    struct Fnv(u64);
-    impl Fnv {
-        fn bytes(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        fn u64(&mut self, v: u64) {
-            self.bytes(&v.to_le_bytes());
-        }
-        fn i64(&mut self, v: i64) {
-            self.bytes(&v.to_le_bytes());
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    h.u64(trace.len() as u64);
-    for system in trace.systems() {
-        let c = system.config();
-        h.u64(c.id.raw() as u64);
-        h.bytes(c.name.as_bytes());
-        h.u64(c.nodes as u64);
-        h.u64(c.procs_per_node as u64);
-        h.u64(matches!(c.hardware, HardwareClass::Numa) as u64);
-        h.i64(c.start.as_seconds());
-        h.i64(c.end.as_seconds());
-        h.u64(
-            ((c.has_layout as u64) << 2) | ((c.has_job_log as u64) << 1) | c.has_temperature as u64,
-        );
-
-        let cols = system.failure_columns();
-        h.u64(cols.len() as u64);
-        for i in 0..cols.len() {
-            h.i64(cols.times()[i]);
-            h.u64(cols.nodes()[i] as u64);
-            h.u64(cols.roots()[i] as u64);
-            h.u64(cols.subs()[i] as u64);
-            h.i64(cols.downtimes()[i]);
-        }
-        h.u64(system.jobs().len() as u64);
-        for j in system.jobs() {
-            h.u64(j.job_id.raw());
-            h.u64(j.user.raw() as u64);
-            h.i64(j.submit.as_seconds());
-            h.i64(j.dispatch.as_seconds());
-            h.i64(j.end.as_seconds());
-            h.u64(j.procs as u64);
-            h.u64(j.nodes.len() as u64);
-            for n in &j.nodes {
-                h.u64(n.raw() as u64);
-            }
-        }
-        h.u64(system.temperatures().len() as u64);
-        for t in system.temperatures() {
-            h.u64(t.node.raw() as u64);
-            h.i64(t.time.as_seconds());
-            h.u64(t.celsius.to_bits());
-        }
-        h.u64(system.maintenance().len() as u64);
-        for m in system.maintenance() {
-            h.u64(m.node.raw() as u64);
-            h.i64(m.time.as_seconds());
-            h.u64(((m.hardware_related as u64) << 1) | m.scheduled as u64);
-        }
-        match system.layout() {
-            None => h.u64(u64::MAX),
-            Some(layout) => {
-                h.u64(layout.len() as u64);
-                for (node, loc) in layout.iter() {
-                    h.u64(node.raw() as u64);
-                    h.u64(loc.rack.raw() as u64);
-                    h.u64(loc.position_in_rack as u64);
-                    h.u64(loc.room_row as u64);
-                    h.u64(loc.room_col as u64);
-                }
-            }
-        }
-    }
-    h.u64(trace.neutron_samples().len() as u64);
-    for s in trace.neutron_samples() {
-        h.i64(s.time.as_seconds());
-        h.u64(s.counts_per_minute.to_bits());
-    }
-    h.0
 }
 
 // ---------------------------------------------------------------------
@@ -488,7 +392,7 @@ pub fn snapshot_bytes(trace: &Trace) -> Vec<u8> {
         ));
         sections.push((
             section_id(KIND_MAINTENANCE, sys),
-            encode_maintenance(system.maintenance()),
+            encode_maintenance(&system.maintenance().collect::<Vec<_>>()),
         ));
         if let Some(layout) = system.layout() {
             sections.push((section_id(KIND_LAYOUT, sys), encode_layout(layout)));
@@ -504,7 +408,7 @@ pub fn snapshot_bytes(trace: &Trace) -> Vec<u8> {
         Vec::with_capacity(header_len + sections.iter().map(|(_, b)| b.len()).sum::<usize>());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&content_fingerprint(trace).to_le_bytes());
+    out.extend_from_slice(&trace.fingerprint().to_le_bytes());
     out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     let mut offset = header_len as u64;
     for (id, bytes) in &sections {
@@ -540,7 +444,9 @@ struct Section<'a> {
     bytes: &'a [u8],
 }
 
-fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> {
+/// Validates the header and section table; returns the header's content
+/// fingerprint and every checksum-verified section.
+fn parse_sections(buf: &[u8]) -> Result<(u64, Vec<(u32, Section<'_>)>), SnapshotError> {
     if buf.len() < MAGIC.len() {
         return Err(SnapshotError::BadMagic);
     }
@@ -552,7 +458,7 @@ fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> 
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let _fingerprint = r.u64()?;
+    let fingerprint = r.u64()?;
     let count = r.count(28)?;
     let mut sections = Vec::with_capacity(count);
     for _ in 0..count {
@@ -575,13 +481,7 @@ fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> 
         }
         sections.push((id, Section { bytes }));
     }
-    Ok(sections)
-}
-
-fn header_fingerprint(buf: &[u8]) -> Result<u64, SnapshotError> {
-    let mut r = Reader::new(&buf[MAGIC.len()..], "header");
-    let _version = r.u32()?;
-    r.u64()
+    Ok((fingerprint, sections))
 }
 
 fn decode_systems(bytes: &[u8]) -> Result<Vec<SystemConfig>, SnapshotError> {
@@ -729,7 +629,7 @@ fn decode_temperatures(
 fn decode_maintenance(
     bytes: &[u8],
     config: &SystemConfig,
-) -> Result<Vec<MaintenanceRecord>, SnapshotError> {
+) -> Result<MaintenanceColumns, SnapshotError> {
     let mut r = Reader::new(bytes, "maintenance");
     let count = r.count(4 + 8 + 1)?;
     let mut nodes = Vec::with_capacity(count);
@@ -740,29 +640,22 @@ fn decode_maintenance(
     for _ in 0..count {
         times.push(r.i64()?);
     }
-    if times
-        .iter()
-        .zip(&nodes)
-        .zip(times.iter().zip(&nodes).skip(1))
-        .any(|((t0, n0), (t1, n1))| (t0, n0) > (t1, n1))
-    {
-        return Err(SnapshotError::Corrupt(
-            "maintenance not sorted by (time, node)".into(),
-        ));
-    }
-    let mut records = Vec::with_capacity(count);
-    for i in 0..count {
+    let mut hardware = Vec::with_capacity(count);
+    let mut scheduled = Vec::with_capacity(count);
+    for _ in 0..count {
         let flags = r.u8()?;
-        records.push(MaintenanceRecord {
-            system: config.id,
-            node: NodeId::new(nodes[i]),
-            time: Timestamp::from_seconds(times[i]),
-            hardware_related: flags & 0b10 != 0,
-            scheduled: flags & 0b01 != 0,
-        });
+        hardware.push(flags & 0b10 != 0);
+        scheduled.push(flags & 0b01 != 0);
     }
     r.finish()?;
-    Ok(records)
+    Ok(MaintenanceColumns::from_raw_parts(
+        times,
+        nodes,
+        hardware,
+        scheduled,
+        config.nodes,
+        config.start,
+    )?)
 }
 
 fn decode_layout(bytes: &[u8]) -> Result<MachineLayout, SnapshotError> {
@@ -816,7 +709,7 @@ fn decode_neutron(bytes: &[u8]) -> Result<Vec<NeutronSample>, SnapshotError> {
 /// yields a typed [`SnapshotError`]; this function never panics on
 /// hostile input.
 pub fn decode_snapshot(buf: &[u8]) -> Result<Trace, SnapshotError> {
-    let sections = parse_sections(buf)?;
+    let (expected, sections) = parse_sections(buf)?;
     let find = |id: u32| sections.iter().find(|(sid, _)| *sid == id).map(|(_, s)| s);
 
     let systems_section = find(section_id(KIND_SYSTEMS, 0))
@@ -840,7 +733,7 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<Trace, SnapshotError> {
         };
         let maintenance = match find(section_id(KIND_MAINTENANCE, sys)) {
             Some(s) => decode_maintenance(s.bytes, &config)?,
-            None => Vec::new(),
+            None => MaintenanceColumns::default(),
         };
         let layout = match find(section_id(KIND_LAYOUT, sys)) {
             Some(s) => Some(decode_layout(s.bytes)?),
@@ -860,8 +753,7 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<Trace, SnapshotError> {
         trace.set_neutron_samples(samples);
     }
 
-    let expected = header_fingerprint(buf)?;
-    let actual = content_fingerprint(&trace);
+    let actual = trace.fingerprint();
     if expected != actual {
         return Err(SnapshotError::Corrupt(format!(
             "content fingerprint mismatch: header {expected:016x}, decoded {actual:016x}"
@@ -998,10 +890,10 @@ mod tests {
         assert_eq!(a.neutron_samples(), b.neutron_samples());
         for (sa, sb) in a.systems().zip(b.systems()) {
             assert_eq!(sa.config(), sb.config());
-            assert_eq!(sa.failures(), sb.failures());
+            assert!(sa.failures().eq(sb.failures()));
             assert_eq!(sa.jobs(), sb.jobs());
             assert_eq!(sa.temperatures(), sb.temperatures());
-            assert_eq!(sa.maintenance(), sb.maintenance());
+            assert!(sa.maintenance().eq(sb.maintenance()));
             assert_eq!(sa.layout(), sb.layout());
         }
     }
@@ -1012,7 +904,7 @@ mod tests {
         let bytes = snapshot_bytes(&trace);
         let decoded = decode_snapshot(&bytes).expect("decodes");
         traces_equal(&trace, &decoded);
-        assert_eq!(content_fingerprint(&trace), content_fingerprint(&decoded));
+        assert_eq!(trace.fingerprint(), decoded.fingerprint());
     }
 
     #[test]
@@ -1039,7 +931,7 @@ mod tests {
         // (i.e. silent corruption is impossible).
         let trace = sample_trace();
         let bytes = snapshot_bytes(&trace);
-        let original = content_fingerprint(&trace);
+        let original = trace.fingerprint();
         let mut rejected = 0usize;
         for i in 0..bytes.len() {
             let mut mutated = bytes.clone();
@@ -1048,7 +940,7 @@ mod tests {
                 Err(_) => rejected += 1,
                 Ok(decoded) => {
                     assert_eq!(
-                        content_fingerprint(&decoded),
+                        decoded.fingerprint(),
                         original,
                         "silent corruption after flipping byte {i}"
                     );
@@ -1106,6 +998,6 @@ mod tests {
         let bytes = snapshot_bytes(&trace);
         let decoded = decode_snapshot(&bytes).expect("decodes");
         assert!(decoded.is_empty());
-        assert_eq!(content_fingerprint(&trace), content_fingerprint(&decoded));
+        assert_eq!(trace.fingerprint(), decoded.fingerprint());
     }
 }

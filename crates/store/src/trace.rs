@@ -1,10 +1,16 @@
 //! The trace store: immutable, indexed collections of records.
 //!
-//! Since the columnar refactor, failures are stored as timestamp-sorted
-//! struct-of-arrays columns ([`crate::columns::FailureColumns`]); the
-//! row-struct view behind [`SystemTrace::failures`] is materialized
-//! lazily and cached, so existing consumers see exactly the records (and
-//! record order) the pre-columnar layout produced.
+//! Failures and maintenance events are stored once, as timestamp-sorted
+//! struct-of-arrays columns ([`crate::columns::FailureColumns`],
+//! [`crate::columns::MaintenanceColumns`]). There is no row cache:
+//! [`SystemTrace::failures`] and [`SystemTrace::maintenance`] decode
+//! records from the columns on every pass, in the builder's
+//! `(time, node)` order, so they suit cold callers (CSV export, tests);
+//! analyses read the column slices directly.
+//!
+//! A [`Trace`] carries one content fingerprint, [`Trace::fingerprint`],
+//! computed at most once per trace value and reused as the snapshot
+//! header and the serving layer's result-cache key.
 
 use crate::columns::{ClassCode, FailureColumns, MaintenanceColumns};
 use hpcfail_types::prelude::*;
@@ -102,21 +108,7 @@ impl SystemTraceBuilder {
         let columns = FailureColumns::from_records(&failures, config.nodes, config.start);
         let maint_columns =
             MaintenanceColumns::from_records(&maintenance, config.nodes, config.start);
-        // The builder already owns the sorted rows; seed the lazy row
-        // cache with them so the CSV/synthetic path never re-materializes.
-        let rows = OnceLock::new();
-        let _ = rows.set(failures);
-        SystemTrace {
-            config,
-            columns,
-            rows,
-            jobs,
-            temperatures,
-            maintenance,
-            maint_columns,
-            layout,
-            index: crate::index::TimelineIndex::new(),
-        }
+        SystemTrace::from_parts(config, columns, jobs, temperatures, maint_columns, layout)
     }
 }
 
@@ -128,12 +120,8 @@ impl SystemTraceBuilder {
 pub struct SystemTrace {
     config: SystemConfig,
     columns: FailureColumns,
-    /// Lazily materialized row view of `columns`; seeded eagerly on the
-    /// builder path, built on first access after a snapshot load.
-    rows: OnceLock<Vec<FailureRecord>>,
     jobs: Vec<JobRecord>,
     temperatures: Vec<TemperatureSample>,
-    maintenance: Vec<MaintenanceRecord>,
     maint_columns: MaintenanceColumns,
     layout: Option<MachineLayout>,
     /// Lazy caches of day vectors and pooled baselines; see
@@ -142,26 +130,22 @@ pub struct SystemTrace {
 }
 
 impl SystemTrace {
-    /// Assembles a trace from pre-validated columnar parts (the snapshot
-    /// load path). `jobs`, `temperatures` and `maintenance` must already
+    /// Assembles a trace from pre-validated columnar parts (the builder
+    /// and snapshot load paths). `jobs` and `temperatures` must already
     /// be in builder sort order.
     pub(crate) fn from_parts(
         config: SystemConfig,
         columns: FailureColumns,
         jobs: Vec<JobRecord>,
         temperatures: Vec<TemperatureSample>,
-        maintenance: Vec<MaintenanceRecord>,
+        maint_columns: MaintenanceColumns,
         layout: Option<MachineLayout>,
     ) -> SystemTrace {
-        let maint_columns =
-            MaintenanceColumns::from_records(&maintenance, config.nodes, config.start);
         SystemTrace {
             config,
             columns,
-            rows: OnceLock::new(),
             jobs,
             temperatures,
-            maintenance,
             maint_columns,
             layout,
             index: crate::index::TimelineIndex::new(),
@@ -178,14 +162,13 @@ impl SystemTrace {
         self.config.id
     }
 
-    /// All failures, sorted by time.
+    /// All failures, sorted by `(time, node)`, decoded from the columns.
     ///
-    /// The row view is materialized from the columns on first access and
-    /// cached; hot query kernels use [`SystemTrace::failure_columns`]
-    /// directly and never pay for it.
-    pub fn failures(&self) -> &[FailureRecord] {
-        self.rows
-            .get_or_init(|| self.columns.materialize(self.config.id))
+    /// Every pass decodes each record afresh; analyses read
+    /// [`SystemTrace::failure_columns`] instead.
+    pub fn failures(&self) -> impl ExactSizeIterator<Item = FailureRecord> + '_ {
+        let id = self.config.id;
+        (0..self.columns.len()).map(move |i| self.columns.record(i, id))
     }
 
     /// The columnar failure storage: timestamp-sorted field arrays plus
@@ -194,13 +177,13 @@ impl SystemTrace {
         &self.columns
     }
 
-    /// Failures of one node, in time order.
-    pub fn node_failures(&self, node: NodeId) -> impl Iterator<Item = &FailureRecord> + '_ {
-        let rows = self.failures();
+    /// Failures of one node, in time order, decoded from the columns.
+    pub fn node_failures(&self, node: NodeId) -> impl ExactSizeIterator<Item = FailureRecord> + '_ {
+        let id = self.config.id;
         self.columns
             .node_postings(node)
             .iter()
-            .map(move |&i| &rows[i as usize])
+            .map(move |&i| self.columns.record(i as usize, id))
     }
 
     /// Number of failures of one node.
@@ -218,21 +201,28 @@ impl SystemTrace {
         &self.temperatures
     }
 
-    /// All maintenance records, sorted by time.
-    pub fn maintenance(&self) -> &[MaintenanceRecord] {
-        &self.maintenance
+    /// All maintenance records, sorted by `(time, node)`, decoded from
+    /// the columns.
+    pub fn maintenance(&self) -> impl ExactSizeIterator<Item = MaintenanceRecord> + '_ {
+        let id = self.config.id;
+        (0..self.maint_columns.len()).map(move |i| self.maint_columns.record(i, id))
     }
 
-    /// Maintenance events of one node, in time order.
-    pub fn node_maintenance(&self, node: NodeId) -> impl Iterator<Item = &MaintenanceRecord> + '_ {
+    /// Maintenance events of one node, in time order, decoded from the
+    /// columns.
+    pub fn node_maintenance(
+        &self,
+        node: NodeId,
+    ) -> impl ExactSizeIterator<Item = MaintenanceRecord> + '_ {
+        let id = self.config.id;
         self.maint_columns
             .node_postings(node)
             .iter()
-            .map(move |&i| &self.maintenance[i as usize])
+            .map(move |&i| self.maint_columns.record(i as usize, id))
     }
 
-    /// The columnar maintenance view (postings and unscheduled-hardware
-    /// day column).
+    /// The columnar maintenance storage: timestamp-sorted field arrays
+    /// plus per-node postings.
     pub(crate) fn maintenance_columns(&self) -> &MaintenanceColumns {
         &self.maint_columns
     }
@@ -242,21 +232,15 @@ impl SystemTrace {
         self.layout.as_ref()
     }
 
-    /// Approximate heap bytes held by this system's event storage:
-    /// the failure and maintenance columns, the row-struct vectors, and
-    /// the materialized failure rows when present. Lazy index caches
-    /// and the layout are excluded — the figure sizes the primary data,
-    /// not transient caches.
+    /// Approximate heap bytes held by this system's event storage: the
+    /// failure and maintenance columns and the job and temperature
+    /// vectors. Lazy index caches and the layout are excluded — the
+    /// figure sizes the primary data, not transient caches.
     pub fn resident_bytes(&self) -> u64 {
-        fn vec_bytes<T>(v: &[T]) -> u64 {
-            std::mem::size_of_val(v) as u64
-        }
         self.columns.resident_bytes()
             + self.maint_columns.resident_bytes()
-            + vec_bytes(&self.jobs)
-            + vec_bytes(&self.temperatures)
-            + vec_bytes(&self.maintenance)
-            + self.rows.get().map_or(0, |r| vec_bytes(r))
+            + std::mem::size_of_val(self.jobs.as_slice()) as u64
+            + std::mem::size_of_val(self.temperatures.as_slice()) as u64
     }
 
     /// Iterates over all node ids of this system.
@@ -325,7 +309,7 @@ impl SystemTrace {
         let mut builder = SystemTraceBuilder::new(config);
         for f in self.failures() {
             if f.time >= start && f.time < end {
-                builder.push_failure(*f);
+                builder.push_failure(f);
             }
         }
         for j in &self.jobs {
@@ -338,9 +322,9 @@ impl SystemTrace {
                 builder.push_temperature(*t);
             }
         }
-        for m in &self.maintenance {
+        for m in self.maintenance() {
             if m.time >= start && m.time < end {
-                builder.push_maintenance(*m);
+                builder.push_maintenance(m);
             }
         }
         if let Some(layout) = &self.layout {
@@ -362,11 +346,38 @@ impl SystemTrace {
     }
 }
 
+/// Streaming 64-bit FNV-1a: the content fingerprint's hasher, also used
+/// for the snapshot's per-section checksums.
+pub(crate) struct Fnv(pub(crate) u64);
+
+impl Fnv {
+    pub(crate) const fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
 /// The full data release: every system plus fleet-wide neutron samples.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     systems: BTreeMap<SystemId, SystemTrace>,
     neutron: Vec<NeutronSample>,
+    /// Memo of [`Trace::fingerprint`]; every mutator resets it.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Trace {
@@ -377,13 +388,102 @@ impl Trace {
 
     /// Adds (or replaces) a system trace.
     pub fn insert_system(&mut self, system: SystemTrace) {
+        self.fingerprint = OnceLock::new();
         self.systems.insert(system.id(), system);
     }
 
     /// Sets the neutron-monitor samples (sorted by time internally).
     pub fn set_neutron_samples(&mut self, mut samples: Vec<NeutronSample>) {
+        self.fingerprint = OnceLock::new();
         samples.sort_by_key(|s| s.time);
         self.neutron = samples;
+    }
+
+    /// FNV-1a content fingerprint over everything the trace holds —
+    /// every system's configuration, failures, jobs (node lists
+    /// included), temperatures, maintenance and layout, plus the neutron
+    /// samples — read from the stored columns and vectors.
+    ///
+    /// Equal content gives an equal fingerprint however the trace was
+    /// loaded (CSV, snapshot, synthetic). It is the `.hpcsnap` header
+    /// hash and the serving layer's cache key, computed at most once per
+    /// trace value: the result is memoized until the next mutation.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.hash_content())
+    }
+
+    fn hash_content(&self) -> u64 {
+        let mut h = Fnv::new();
+        h.u64(self.len() as u64);
+        for system in self.systems() {
+            let c = system.config();
+            h.u64(c.id.raw() as u64);
+            h.bytes(c.name.as_bytes());
+            h.u64(c.nodes as u64);
+            h.u64(c.procs_per_node as u64);
+            h.u64(matches!(c.hardware, HardwareClass::Numa) as u64);
+            h.i64(c.start.as_seconds());
+            h.i64(c.end.as_seconds());
+            h.u64(
+                ((c.has_layout as u64) << 2)
+                    | ((c.has_job_log as u64) << 1)
+                    | c.has_temperature as u64,
+            );
+
+            let cols = system.failure_columns();
+            h.u64(cols.len() as u64);
+            for i in 0..cols.len() {
+                h.i64(cols.times()[i]);
+                h.u64(cols.nodes()[i] as u64);
+                h.u64(cols.roots()[i] as u64);
+                h.u64(cols.subs()[i] as u64);
+                h.i64(cols.downtimes()[i]);
+            }
+            h.u64(system.jobs().len() as u64);
+            for j in system.jobs() {
+                h.u64(j.job_id.raw());
+                h.u64(j.user.raw() as u64);
+                h.i64(j.submit.as_seconds());
+                h.i64(j.dispatch.as_seconds());
+                h.i64(j.end.as_seconds());
+                h.u64(j.procs as u64);
+                h.u64(j.nodes.len() as u64);
+                for n in &j.nodes {
+                    h.u64(n.raw() as u64);
+                }
+            }
+            h.u64(system.temperatures().len() as u64);
+            for t in system.temperatures() {
+                h.u64(t.node.raw() as u64);
+                h.i64(t.time.as_seconds());
+                h.u64(t.celsius.to_bits());
+            }
+            h.u64(system.maintenance().len() as u64);
+            for m in system.maintenance() {
+                h.u64(m.node.raw() as u64);
+                h.i64(m.time.as_seconds());
+                h.u64(((m.hardware_related as u64) << 1) | m.scheduled as u64);
+            }
+            match system.layout() {
+                None => h.u64(u64::MAX),
+                Some(layout) => {
+                    h.u64(layout.len() as u64);
+                    for (node, loc) in layout.iter() {
+                        h.u64(node.raw() as u64);
+                        h.u64(loc.rack.raw() as u64);
+                        h.u64(loc.position_in_rack as u64);
+                        h.u64(loc.room_row as u64);
+                        h.u64(loc.room_col as u64);
+                    }
+                }
+            }
+        }
+        h.u64(self.neutron.len() as u64);
+        for s in &self.neutron {
+            h.i64(s.time.as_seconds());
+            h.u64(s.counts_per_minute.to_bits());
+        }
+        h.0
     }
 
     /// Looks up one system.
@@ -518,7 +618,7 @@ mod tests {
     #[test]
     fn build_sorts_by_time() {
         let t = build_simple();
-        let times: Vec<f64> = t.failures().iter().map(|f| f.time.as_days()).collect();
+        let times: Vec<f64> = t.failures().map(|f| f.time.as_days()).collect();
         assert_eq!(times, vec![10.0, 10.5, 12.0, 50.0]);
     }
 
@@ -618,7 +718,10 @@ mod tests {
         let slice = t.restricted(Timestamp::from_days(11.0), Timestamp::from_days(45.0));
         // Only the day-12 failure lies in [11, 45).
         assert_eq!(slice.failures().len(), 1);
-        assert_eq!(slice.failures()[0].time, Timestamp::from_days(12.0));
+        assert_eq!(
+            slice.failures().next().map(|f| f.time),
+            Some(Timestamp::from_days(12.0))
+        );
         assert_eq!(slice.config().start, Timestamp::from_days(11.0));
         assert_eq!(slice.config().end, Timestamp::from_days(45.0));
         assert_eq!(slice.config().observation_days(), 34);
@@ -654,6 +757,75 @@ mod tests {
         assert_eq!(trace.group_systems(SystemGroup::Group2).count(), 1);
         assert!(trace.system(SystemId::new(2)).is_some());
         assert!(trace.system(SystemId::new(3)).is_none());
+    }
+
+    fn job(node: u32) -> JobRecord {
+        JobRecord {
+            system: SystemId::new(1),
+            job_id: JobId::new(1),
+            user: UserId::new(1),
+            submit: Timestamp::from_days(1.0),
+            dispatch: Timestamp::from_days(1.0),
+            end: Timestamp::from_days(2.0),
+            procs: 4,
+            nodes: vec![NodeId::new(node)],
+        }
+    }
+
+    fn single_system(job_node: u32, rack: u16) -> Trace {
+        let mut b = SystemTraceBuilder::new(test_config(1, 4, 100.0));
+        b.push_failure(failure(2, 50.0, RootCause::Network));
+        b.push_job(job(job_node));
+        b.layout(
+            [(
+                NodeId::new(0),
+                NodeLocation {
+                    rack: RackId::new(rack),
+                    position_in_rack: 1,
+                    room_row: 0,
+                    room_col: 0,
+                },
+            )]
+            .into_iter()
+            .collect(),
+        );
+        let mut trace = Trace::new();
+        trace.insert_system(b.build());
+        trace
+    }
+
+    #[test]
+    fn fingerprint_covers_job_nodes_and_layout() {
+        let base = single_system(1, 0);
+        assert_eq!(base.fingerprint(), single_system(1, 0).fingerprint());
+        assert_ne!(base.fingerprint(), single_system(2, 0).fingerprint());
+        assert_ne!(base.fingerprint(), single_system(1, 1).fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_memo_resets_on_mutation() {
+        let mut trace = single_system(1, 0);
+        let first = trace.fingerprint();
+        assert_eq!(trace.fingerprint(), first, "memoized value is stable");
+
+        trace.insert_system(build_simple());
+        let replaced = trace.fingerprint();
+        assert_ne!(replaced, first, "insert_system resets the memo");
+
+        trace.set_neutron_samples(vec![NeutronSample {
+            time: Timestamp::from_days(1.0),
+            counts_per_minute: 4000.0,
+        }]);
+        assert_ne!(
+            trace.fingerprint(),
+            replaced,
+            "set_neutron_samples resets the memo"
+        );
+        // A fresh trace with the same content agrees with the reset memo.
+        let mut fresh = single_system(1, 0);
+        fresh.insert_system(build_simple());
+        fresh.set_neutron_samples(trace.neutron_samples().to_vec());
+        assert_eq!(fresh.fingerprint(), trace.fingerprint());
     }
 
     #[test]

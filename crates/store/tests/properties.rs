@@ -247,7 +247,7 @@ proptest! {
 
     /// Differential test of the columnar query paths: every class
     /// granularity (any / root / sub-cause), every node, against plain
-    /// scans over the materialized row structs.
+    /// scans over the decoded row structs.
     #[test]
     fn columnar_queries_match_row_scans(
         failures in prop::collection::vec(
@@ -259,7 +259,7 @@ proptest! {
     ) {
         let t = build_trace(&failures, &maintenance);
         let events = NodeEvents::new(&t);
-        let rows = t.failures();
+        let rows: Vec<FailureRecord> = t.failures().collect();
         let t0 = Timestamp::from_seconds(after);
         let t1 = Timestamp::from_seconds(after + span);
         for &class in QUERY_CLASSES {
@@ -297,7 +297,6 @@ proptest! {
         for node in t.nodes() {
             let mut oracle_days: Vec<i64> = t
                 .maintenance()
-                .iter()
                 .filter(|m| m.node == node && m.hardware_related && !m.scheduled)
                 .map(|m| m.time.day_index())
                 .collect();
@@ -325,8 +324,14 @@ proptest! {
         let restored = decode_snapshot(&snapshot_bytes(&trace)).expect("round trip");
         let before = trace.system(SystemId::new(1)).unwrap();
         let system = restored.system(SystemId::new(1)).unwrap();
-        prop_assert_eq!(before.failures(), system.failures());
-        prop_assert_eq!(before.maintenance(), system.maintenance());
+        prop_assert_eq!(
+            before.failures().collect::<Vec<_>>(),
+            system.failures().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            before.maintenance().collect::<Vec<_>>(),
+            system.maintenance().collect::<Vec<_>>()
+        );
         let a = BaselineEstimator::new(before);
         let b = BaselineEstimator::new(system);
         for &class in QUERY_CLASSES {

@@ -705,7 +705,7 @@ mod tests {
         assert_eq!(a.trace().total_failures(), b.trace().total_failures());
         let sa = a.trace().system(SystemId::new(20)).unwrap();
         let sb = b.trace().system(SystemId::new(20)).unwrap();
-        assert_eq!(sa.failures(), sb.failures());
+        assert!(sa.failures().eq(sb.failures()));
         assert_eq!(sa.jobs().len(), sb.jobs().len());
     }
 
@@ -883,7 +883,6 @@ mod tests {
         for sys in fleet.trace().systems() {
             unscheduled += sys
                 .maintenance()
-                .iter()
                 .filter(|m| m.is_unscheduled_hardware())
                 .count();
         }
@@ -902,197 +901,5 @@ mod tests {
         assert!(in_band as f64 > 0.95 * temps.len() as f64);
         // But excursions exist somewhere above the warning threshold.
         // (Fan failures happen; if none in this seed, skip.)
-    }
-}
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-    use crate::spec::FleetSpec;
-
-    #[test]
-    #[ignore]
-    fn diag_breakdown() {
-        let fleet = FleetSpec::demo().generate(7);
-        for sys in fleet.trace().systems() {
-            let cfg = sys.config();
-            let nd = cfg.nodes as f64 * cfg.observation_days() as f64;
-            let mut by_root = std::collections::BTreeMap::new();
-            let mut node0 = 0u32;
-            let mut env_sub = std::collections::BTreeMap::new();
-            for f in sys.failures() {
-                *by_root.entry(format!("{}", f.root_cause)).or_insert(0u32) += 1;
-                if f.node.raw() == 0 {
-                    node0 += 1;
-                }
-                if let SubCause::Environment(c) = f.sub_cause {
-                    *env_sub.entry(format!("{c}")).or_insert(0u32) += 1;
-                }
-            }
-            let total = sys.failures().len();
-            println!(
-                "=== {} nodes={} days={} total={} rate={:.5}/nd node0={} ({:.3}/day)",
-                cfg.name,
-                cfg.nodes,
-                cfg.observation_days(),
-                total,
-                total as f64 / nd,
-                node0,
-                node0 as f64 / cfg.observation_days() as f64
-            );
-            println!("  roots: {by_root:?}");
-            println!("  env subs: {env_sub:?}");
-            // per-day histogram tail: max failures in one day
-            let mut per_day = std::collections::HashMap::new();
-            for f in sys.failures() {
-                *per_day.entry(f.time.day_index()).or_insert(0u32) += 1;
-            }
-            let mut days: Vec<u32> = per_day.values().copied().collect();
-            days.sort_unstable_by(|a, b| b.cmp(a));
-            println!("  busiest days: {:?}", &days[..days.len().min(10)]);
-        }
-    }
-}
-
-#[cfg(test)]
-mod scale_diag {
-    use crate::spec::FleetSpec;
-    use hpcfail_types::prelude::*;
-
-    #[test]
-    #[ignore]
-    fn diag_full_scale() {
-        let t0 = std::time::Instant::now();
-        let fleet = FleetSpec::lanl().generate(42);
-        println!("generation took {:?}", t0.elapsed());
-        let mut nd1 = 0f64;
-        let mut f1 = 0f64;
-        let mut nd2 = 0f64;
-        let mut f2 = 0f64;
-        let mut env = 0u64;
-        let mut hw = 0u64;
-        let mut total = 0u64;
-        for sys in fleet.trace().systems() {
-            let cfg = sys.config();
-            let nd = cfg.nodes as f64 * cfg.observation_days() as f64;
-            if cfg.group() == SystemGroup::Group1 {
-                nd1 += nd;
-                f1 += sys.failures().len() as f64;
-            } else {
-                nd2 += nd;
-                f2 += sys.failures().len() as f64;
-            }
-            for f in sys.failures() {
-                total += 1;
-                match f.root_cause {
-                    RootCause::Environment => env += 1,
-                    RootCause::Hardware => hw += 1,
-                    _ => {}
-                }
-            }
-        }
-        println!(
-            "group1 rate/day {:.5} (target .0031), group2 {:.5} (target .046)",
-            f1 / nd1,
-            f2 / nd2
-        );
-        println!(
-            "total {total}, env share {:.3} (t .02), hw share {:.3} (t .60)",
-            env as f64 / total as f64,
-            hw as f64 / total as f64
-        );
-        let s20 = fleet.trace().system(SystemId::new(20)).unwrap();
-        println!(
-            "sys20: {} failures, {} jobs, {} temps, node0 {}x avg",
-            s20.failures().len(),
-            s20.jobs().len(),
-            s20.temperatures().len(),
-            s20.node_failure_count(NodeId::new(0)) as f64
-                / (s20.failures().len() as f64 / s20.config().nodes as f64)
-        );
-    }
-}
-
-#[cfg(test)]
-mod env_diag {
-    use crate::spec::FleetSpec;
-    use hpcfail_types::prelude::*;
-
-    #[test]
-    #[ignore]
-    fn diag_env_other_sources() {
-        let fleet = FleetSpec::lanl().generate(42);
-        let mut by_sys_node0 = std::collections::BTreeMap::new();
-        for sys in fleet.trace().systems() {
-            let mut node0 = 0u32;
-            let mut rest = 0u32;
-            for f in sys.failures() {
-                if f.sub_cause == SubCause::Environment(EnvironmentCause::Other) {
-                    if f.node.raw() == 0 {
-                        node0 += 1
-                    } else {
-                        rest += 1
-                    }
-                }
-            }
-            by_sys_node0.insert(
-                sys.config().name.clone(),
-                (node0, rest, sys.config().group()),
-            );
-        }
-        for (name, (n0, rest, group)) in by_sys_node0 {
-            println!("{name} ({group:?}): node0 {n0}, rest {rest}");
-        }
-    }
-}
-
-#[cfg(test)]
-mod share_diag {
-    use crate::spec::FleetSpec;
-    use hpcfail_types::prelude::*;
-
-    #[test]
-    #[ignore]
-    fn diag_component_shares() {
-        let fleet = FleetSpec::lanl().generate(42);
-        let mut counts = std::collections::BTreeMap::new();
-        let mut hw_total = 0u64;
-        for sys in fleet.trace().systems() {
-            for f in sys.failures() {
-                if let SubCause::Hardware(c) = f.sub_cause {
-                    *counts.entry(c.label()).or_insert(0u64) += 1;
-                    hw_total += 1;
-                }
-            }
-        }
-        for (c, n) in counts {
-            println!("{c}: {n} ({:.3})", n as f64 / hw_total as f64);
-        }
-    }
-}
-
-#[cfg(test)]
-mod pick_diag {
-    use crate::spec::FleetSpec;
-    use hpcfail_types::prelude::*;
-
-    #[test]
-    #[ignore]
-    fn diag_demo_components() {
-        for seed in [1u64, 2, 3] {
-            let fleet = FleetSpec::demo().generate(seed);
-            let mut cpu = 0;
-            let mut mem = 0;
-            for sys in fleet.trace().systems() {
-                for f in sys.failures() {
-                    match f.sub_cause {
-                        SubCause::Hardware(HardwareComponent::Cpu) => cpu += 1,
-                        SubCause::Hardware(HardwareComponent::MemoryDimm) => mem += 1,
-                        _ => {}
-                    }
-                }
-            }
-            println!("seed {seed}: cpu {cpu}, mem {mem}");
-        }
     }
 }

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(loaded.total_failures(), store.total_failures());
     for system in store.systems() {
         let reloaded = loaded.system(system.id()).expect("system preserved");
-        assert_eq!(reloaded.failures(), system.failures());
+        assert!(reloaded.failures().eq(system.failures()));
         assert_eq!(reloaded.jobs().len(), system.jobs().len());
     }
 

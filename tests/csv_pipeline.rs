@@ -17,9 +17,9 @@ fn full_fleet_roundtrip_preserves_analyses() {
     assert_eq!(loaded.total_failures(), store.total_failures());
     for system in store.systems() {
         let other = loaded.system(system.id()).expect("system exists");
-        assert_eq!(other.failures(), system.failures());
+        assert!(other.failures().eq(system.failures()));
         assert_eq!(other.jobs(), system.jobs());
-        assert_eq!(other.maintenance(), system.maintenance());
+        assert!(other.maintenance().eq(system.maintenance()));
         assert_eq!(other.temperatures().len(), system.temperatures().len());
         assert_eq!(
             other.layout().map(|l| l.len()),
